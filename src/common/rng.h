@@ -15,10 +15,25 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace codic {
+
+/**
+ * Box-Muller transform: the standard-normal pair of the uniforms
+ * u1 in (0, 1) and u2 in [0, 1). Both values are bounded by the
+ * radius sqrt(-2 ln u1), which lets a scan that rejects most normals
+ * skip the transform on pairs whose radius is too small (CodicTrng).
+ */
+inline std::pair<double, double>
+boxMuller(double u1, double u2)
+{
+    const double r = std::sqrt(-2.0 * std::log(u1));
+    const double theta = 2.0 * M_PI * u2;
+    return {r * std::cos(theta), r * std::sin(theta)};
+}
 
 /** SplitMix64 stream, used to expand a single seed into generator state. */
 class SplitMix64
@@ -121,7 +136,24 @@ class Rng
         return uniform() < p;
     }
 
-    /** Standard normal draw (Box-Muller with caching). */
+    /**
+     * The uniforms (u1, u2) of one Box-Muller pair, drawn exactly as
+     * gaussian() draws them.
+     */
+    std::pair<double, double>
+    boxMullerUniforms()
+    {
+        double u1 = 0.0;
+        while (u1 <= 1e-300)
+            u1 = uniform();
+        const double u2 = uniform();
+        return {u1, u2};
+    }
+
+    /**
+     * Standard normal draw: the first value of a boxMuller() pair,
+     * with the second cached for the next call.
+     */
     double
     gaussian()
     {
@@ -129,15 +161,11 @@ class Rng
             have_cached_ = false;
             return cached_;
         }
-        double u1 = 0.0;
-        while (u1 <= 1e-300)
-            u1 = uniform();
-        const double u2 = uniform();
-        const double r = std::sqrt(-2.0 * std::log(u1));
-        const double theta = 2.0 * M_PI * u2;
-        cached_ = r * std::sin(theta);
+        const auto [u1, u2] = boxMullerUniforms();
+        const auto [first, second] = boxMuller(u1, u2);
+        cached_ = second;
         have_cached_ = true;
-        return r * std::cos(theta);
+        return first;
     }
 
     /** Normal draw with explicit mean and standard deviation. */

@@ -210,15 +210,12 @@ DramChannel::earliest(const Command &cmd) const
         if (cmd.codic_variant < 0 ||
             static_cast<size_t>(cmd.codic_variant) >= variants_.size())
             panic("CODIC with unregistered variant ", cmd.codic_variant);
-        const auto cls =
-            classifySchedule(variants_[
-                static_cast<size_t>(cmd.codic_variant)]);
         Cycle when = std::max(bank_next_act_[bi], rank_next_any_[r]);
-        // Activation-class variants draw activation current and count
-        // against tRRD/tFAW; precharge-class variants do not.
+        // Variants that run longer than a precharge draw activation
+        // current and count against tRRD/tFAW; precharge-length
+        // variants do not (apply() notes the same split).
         const double lat_ns = variantLatencyNs(
             variants_[static_cast<size_t>(cmd.codic_variant)]);
-        (void)cls;
         if (config_.nsToCycles(lat_ns) > t.trp)
             when = std::max(when, earliestActClass(cmd.addr.rank));
         return when;

@@ -241,6 +241,7 @@ buildPaperPopulation(uint64_t seed)
         {"M15", Vendor::C, 8, 4, 1600, true},
     };
     std::vector<SimulatedChip> chips;
+    chips.reserve(136);
     uint64_t module_index = 0;
     for (const auto &row : rows) {
         const uint64_t module_seed = mixKeys(seed, 0x40D, module_index++);

@@ -1,7 +1,7 @@
 #include "puf/prelat_puf.h"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 
 namespace codic {
 
@@ -13,25 +13,7 @@ Response
 PrelatPuf::evaluate(const SimulatedChip &chip, const Challenge &challenge,
                     const QueryEnv &env) const
 {
-    const double dt = std::max(0.0, env.temperature_c - 30.0);
-    const double dropout = params_.temp_dropout_at_55c * (dt / 55.0) +
-                           (env.aged ? 0.004 : 0.0);
-
-    Rng noise = chip.domainRng(0x9E1, env.nonce ^ 0x1357);
-    Response r;
-    for (const auto &col : chip.prelatColumns(challenge.segment_id,
-                                              challenge.segment_bits)) {
-        // Deterministic tiny temperature perturbation.
-        if (col.stability < dropout)
-            continue;
-        // Marginal columns flicker per query.
-        if (col.stability < params_.marginal_fraction &&
-            noise.chance(0.5))
-            continue;
-        r.cells.push_back(col.index);
-    }
-    std::sort(r.cells.begin(), r.cells.end());
-    return r;
+    return respond(chip, challenge, env, {env.nonce});
 }
 
 Response
@@ -39,17 +21,37 @@ PrelatPuf::evaluateFiltered(const SimulatedChip &chip,
                             const Challenge &challenge,
                             const QueryEnv &env) const
 {
-    std::map<uint32_t, int> votes;
-    for (int i = 0; i < params_.filter_challenges; ++i) {
-        QueryEnv e = env;
-        e.nonce = env.nonce * 1000033ULL + static_cast<uint64_t>(i) + 1;
-        for (uint32_t c : evaluate(chip, challenge, e).cells)
-            ++votes[c];
+    std::vector<uint64_t> nonces;
+    for (int i = 0; i < params_.filter_challenges; ++i)
+        nonces.push_back(env.nonce * 1000033ULL +
+                         static_cast<uint64_t>(i) + 1);
+    return respond(chip, challenge, env, nonces);
+}
+
+Response
+PrelatPuf::respond(const SimulatedChip &chip, const Challenge &challenge,
+                   const QueryEnv &env,
+                   const std::vector<uint64_t> &nonces) const
+{
+    const double dt = std::max(0.0, env.temperature_c - 30.0);
+    const double dropout = params_.temp_dropout_at_55c * (dt / 55.0) +
+                           (env.aged ? 0.004 : 0.0);
+
+    std::vector<PassMember> members;
+    for (const auto &col : chip.prelatColumns(challenge.segment_id,
+                                              challenge.segment_bits)) {
+        // Deterministic tiny temperature perturbation.
+        if (col.stability < dropout)
+            continue;
+        // Marginal columns flicker per query.
+        members.push_back({col.index,
+                           col.stability < params_.marginal_fraction});
     }
+    std::vector<Rng> passes;
+    for (uint64_t nonce : nonces)
+        passes.push_back(chip.domainRng(0x9E1, nonce ^ 0x1357));
     Response r;
-    for (const auto &[cell, count] : votes)
-        if (count * 2 > params_.filter_challenges)
-            r.cells.push_back(cell);
+    r.cells = majorityVote(members, std::move(passes));
     return r;
 }
 

@@ -19,6 +19,8 @@
 #ifndef CODIC_PUF_PRELAT_PUF_H
 #define CODIC_PUF_PRELAT_PUF_H
 
+#include <vector>
+
 #include "puf/chip_model.h"
 #include "puf/puf.h"
 
@@ -56,6 +58,10 @@ class PrelatPuf : public DramPuf
                       const Challenge &challenge,
                       const QueryEnv &env) const override;
 
+    /**
+     * Strict-majority vote over filter_challenges evaluations; pass
+     * i (from 0) evaluates with nonce env.nonce * 1000033 + i + 1.
+     */
     Response evaluateFiltered(const SimulatedChip &chip,
                               const Challenge &challenge,
                               const QueryEnv &env) const override;
@@ -66,6 +72,14 @@ class PrelatPuf : public DramPuf
     double passCost() const { return params_.pass_cost; }
 
   private:
+    /**
+     * Strict majority over one noise pass per nonce. The segment
+     * population is built once and shared by every pass.
+     */
+    Response respond(const SimulatedChip &chip, const Challenge &challenge,
+                     const QueryEnv &env,
+                     const std::vector<uint64_t> &nonces) const;
+
     PrelatPufParams params_;
 };
 

@@ -27,6 +27,21 @@ jaccard(const Response &a, const Response &b)
     return static_cast<double>(inter) / static_cast<double>(uni);
 }
 
+std::vector<uint32_t>
+majorityVote(const std::vector<PassMember> &members, std::vector<Rng> passes)
+{
+    std::vector<size_t> votes(members.size(), 0);
+    for (Rng &noise : passes)
+        for (size_t m = 0; m < members.size(); ++m)
+            if (!members[m].marginal || !noise.chance(0.5))
+                ++votes[m];
+    std::vector<uint32_t> out;
+    for (size_t m = 0; m < members.size(); ++m)
+        if (2 * votes[m] > passes.size())
+            out.push_back(members[m].index);
+    return out;
+}
+
 Response
 DramPuf::evaluateFiltered(const SimulatedChip &chip,
                           const Challenge &challenge,

@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.h"
+
 namespace codic {
 
 class SimulatedChip;
@@ -58,6 +60,28 @@ struct Response
  * two empty responses are identical).
  */
 double jaccard(const Response &a, const Response &b);
+
+/**
+ * One member of a population that noise passes filter: a cell
+ * position that survives every pass unless it is marginal, in which
+ * case each pass drops it on a fair coin from that pass's noise.
+ */
+struct PassMember
+{
+    uint32_t index;
+    bool marginal;
+};
+
+/**
+ * Strict-majority vote over noise passes of one population (the
+ * conservative filter of Section 6.1.1; a single pass is a plain
+ * evaluation). `members` must have sorted, unique indices. Each
+ * pass draws one chance(0.5) from its own stream per marginal
+ * member, in population order. Returns, in population order, the
+ * members that survive more than half of the passes.
+ */
+std::vector<uint32_t> majorityVote(const std::vector<PassMember> &members,
+                                   std::vector<Rng> passes);
 
 /** Abstract DRAM PUF. */
 class DramPuf

@@ -1,8 +1,8 @@
 #include "puf/sig_puf.h"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
+#include <iterator>
+#include <utility>
 
 namespace codic {
 
@@ -15,42 +15,7 @@ CodicSigPuf::evaluate(const SimulatedChip &chip,
                       const Challenge &challenge,
                       const QueryEnv &env) const
 {
-    const double dt = std::max(0.0, env.temperature_c - 30.0);
-    const double dropout =
-        params_.temp_dropout_at_55c * (dt / 55.0) +
-        (env.aged ? params_.aging_dropout : 0.0);
-    const double growth = params_.temp_growth_at_55c * (dt / 55.0);
-    const double marginal = chip.spec().ddr3l
-                                ? params_.ddr3l_marginal_fraction
-                                : params_.marginal_fraction;
-
-    // Per-query noise stream (thermal noise on marginal cells).
-    Rng noise = chip.domainRng(0x51F, env.nonce ^ 0x9e37);
-
-    Response r;
-    for (const auto &cell :
-         chip.sigCells(challenge.segment_id, challenge.segment_bits)) {
-        // Deterministic per-cell temperature dropout: the same cells
-        // disappear at the same temperature on every query.
-        if (cell.temp_u < dropout)
-            continue;
-        // Marginal cells flicker with per-query noise.
-        if (cell.stability < marginal && noise.chance(0.5))
-            continue;
-        r.cells.push_back(cell.index);
-    }
-    // Deterministic per-cell appearance of extra cells at temperature.
-    if (growth > 0.0) {
-        for (const auto &cell : chip.sigExtraCells(
-                 challenge.segment_id, challenge.segment_bits)) {
-            if (cell.temp_u < growth * 12.5)
-                r.cells.push_back(cell.index);
-        }
-    }
-    std::sort(r.cells.begin(), r.cells.end());
-    r.cells.erase(std::unique(r.cells.begin(), r.cells.end()),
-                  r.cells.end());
-    return r;
+    return respond(chip, challenge, env, {env.nonce});
 }
 
 Response
@@ -60,17 +25,59 @@ CodicSigPuf::evaluateFiltered(const SimulatedChip &chip,
 {
     // Conservative filter (Section 6.1.1): evaluate the challenge
     // filter_challenges times and keep cells appearing in a majority.
-    std::map<uint32_t, int> votes;
-    for (int i = 0; i < params_.filter_challenges; ++i) {
-        QueryEnv e = env;
-        e.nonce = env.nonce * 1000003ULL + static_cast<uint64_t>(i) + 1;
-        for (uint32_t c : evaluate(chip, challenge, e).cells)
-            ++votes[c];
+    std::vector<uint64_t> nonces;
+    for (int i = 0; i < params_.filter_challenges; ++i)
+        nonces.push_back(env.nonce * 1000003ULL +
+                         static_cast<uint64_t>(i) + 1);
+    return respond(chip, challenge, env, nonces);
+}
+
+Response
+CodicSigPuf::respond(const SimulatedChip &chip, const Challenge &challenge,
+                     const QueryEnv &env,
+                     const std::vector<uint64_t> &nonces) const
+{
+    const double dt = std::max(0.0, env.temperature_c - 30.0);
+    const double dropout =
+        params_.temp_dropout_at_55c * (dt / 55.0) +
+        (env.aged ? params_.aging_dropout : 0.0);
+    const double growth = params_.temp_growth_at_55c * (dt / 55.0);
+    const double marginal = chip.spec().ddr3l
+                                ? params_.ddr3l_marginal_fraction
+                                : params_.marginal_fraction;
+
+    std::vector<PassMember> members;
+    for (const auto &cell :
+         chip.sigCells(challenge.segment_id, challenge.segment_bits)) {
+        // Deterministic per-cell temperature dropout: the same cells
+        // disappear at the same temperature on every query.
+        if (cell.temp_u < dropout)
+            continue;
+        // Marginal cells flicker with per-query thermal noise.
+        members.push_back({cell.index, cell.stability < marginal});
     }
+    std::vector<Rng> passes;
+    for (uint64_t nonce : nonces)
+        passes.push_back(chip.domainRng(0x51F, nonce ^ 0x9e37));
     Response r;
-    for (const auto &[cell, count] : votes)
-        if (count * 2 > params_.filter_challenges)
-            r.cells.push_back(cell);
+    r.cells = majorityVote(members, std::move(passes));
+
+    // Deterministic per-cell appearance of extra cells at
+    // temperature: each one is in every pass or in none, so with at
+    // least one pass the survivors join the response after the vote.
+    if (growth > 0.0 && !nonces.empty()) {
+        std::vector<uint32_t> extras;
+        for (const auto &cell : chip.sigExtraCells(
+                 challenge.segment_id, challenge.segment_bits)) {
+            if (cell.temp_u < growth * 12.5)
+                extras.push_back(cell.index);
+        }
+        std::vector<uint32_t> merged;
+        merged.reserve(r.cells.size() + extras.size());
+        std::set_union(r.cells.begin(), r.cells.end(), extras.begin(),
+                       extras.end(), std::back_inserter(merged));
+        r.cells = std::move(merged);
+    }
     return r;
 }
 

@@ -22,6 +22,8 @@
 #ifndef CODIC_PUF_SIG_PUF_H
 #define CODIC_PUF_SIG_PUF_H
 
+#include <vector>
+
 #include "puf/chip_model.h"
 #include "puf/puf.h"
 
@@ -66,7 +68,10 @@ class CodicSigPuf : public DramPuf
                       const Challenge &challenge,
                       const QueryEnv &env) const override;
 
-    /** Majority vote over filter_challenges evaluations. */
+    /**
+     * Strict-majority vote over filter_challenges evaluations; pass
+     * i (from 0) evaluates with nonce env.nonce * 1000003 + i + 1.
+     */
     Response evaluateFiltered(const SimulatedChip &chip,
                               const Challenge &challenge,
                               const QueryEnv &env) const override;
@@ -74,6 +79,14 @@ class CodicSigPuf : public DramPuf
     int passesPerEvaluation(bool filtered) const override;
 
   private:
+    /**
+     * Strict majority over one noise pass per nonce. The segment
+     * population is built once and shared by every pass.
+     */
+    Response respond(const SimulatedChip &chip, const Challenge &challenge,
+                     const QueryEnv &env,
+                     const std::vector<uint64_t> &nonces) const;
+
     SigPufParams params_;
 };
 

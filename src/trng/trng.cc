@@ -53,16 +53,33 @@ CodicTrng::CodicTrng(const TrngConfig &config) : config_(config)
 {
     // Enrollment: scan the segment's SA population (deterministic per
     // device) for cells whose effective offset sits inside the
-    // metastable window around the trip point.
+    // metastable window around the trip point. Cell i's offset is
+    // sigma * g for the i-th normal g of the device stream, so cells
+    // 2k and 2k+1 share the k-th Box-Muller pair.
     Rng device(config_.run.seed ^ 0x7241D);
     const double sigma = saOffsetSigma(config_.params);
     const double bias = designedSaBiasAt(config_.params);
     const double noise_rms = thermalNoiseRms(config_.params);
     const double window = config_.metastable_window * noise_rms;
 
-    for (int i = 0; i < config_.segment_bits; ++i) {
-        const double offset = device.gaussian(0.0, sigma);
-        const double residual = offset + bias;
+    // Radius cut: both normals of a pair are bounded by its radius
+    // r = sqrt(-2 ln u1), and a kept cell needs |sigma| * r >
+    // |bias| - window. Pairs with u1 >= exp(-r_min^2 / 2) therefore
+    // hold no metastable cell: their uniforms are still drawn, which
+    // keeps the stream in step, but the transform is skipped. The
+    // margin, far above double rounding, keeps the cut conservative;
+    // when |bias| <= window nothing is skipped (u1 < 1 always).
+    const double margin = 1e-9 * (std::fabs(bias) + std::fabs(window));
+    const double excess = std::fabs(bias) - window - margin;
+    double u1_cut = 1.0;
+    if (excess > 0.0) {
+        const double r_min = excess / std::fabs(sigma); // inf at sigma 0
+        u1_cut = std::exp(-0.5 * r_min * r_min);
+    }
+
+    const auto consider = [&](int64_t i, double g) {
+        // The exact arithmetic of device.gaussian(0.0, sigma) + bias.
+        const double residual = (0.0 + sigma * g) + bias;
         if (std::fabs(residual) < window) {
             MetastableCell cell;
             cell.index = static_cast<uint32_t>(i);
@@ -71,6 +88,15 @@ CodicTrng::CodicTrng(const TrngConfig &config) : config_(config)
             cell.p_one = 1.0 - normalCdf(-residual / noise_rms);
             sources_.push_back(cell);
         }
+    };
+    for (int64_t i = 0; i < config_.segment_bits; i += 2) {
+        const auto [u1, u2] = device.boxMullerUniforms();
+        if (u1 >= u1_cut)
+            continue;
+        const auto [first, second] = boxMuller(u1, u2);
+        consider(i, first);
+        if (i + 1 < config_.segment_bits)
+            consider(i + 1, second);
     }
 }
 

@@ -6,9 +6,16 @@
  * timing.
  */
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "coldboot/destruction.h"
+#include "nist/special_functions.h"
 #include "nist/tests.h"
 #include "optim/adaptive_act.h"
 #include "pim/bitwise.h"
@@ -52,6 +59,81 @@ TEST(Trng, EnrollmentIsDeterministicPerDevice)
                 identical && a.sources()[i].index == c.sources()[i].index;
     }
     EXPECT_FALSE(identical);
+}
+
+// Enrollment as a plain scan: one gaussian() per cell, every draw
+// transformed. CodicTrng's radius-cut scan must match it bit for bit.
+std::vector<MetastableCell>
+referenceEnrollment(const TrngConfig &cfg)
+{
+    Rng device(cfg.run.seed ^ 0x7241D);
+    const double sigma = saOffsetSigma(cfg.params);
+    const double bias = designedSaBiasAt(cfg.params);
+    const double noise_rms = thermalNoiseRms(cfg.params);
+    const double window = cfg.metastable_window * noise_rms;
+    std::vector<MetastableCell> cells;
+    for (int i = 0; i < cfg.segment_bits; ++i) {
+        const double residual = device.gaussian(0.0, sigma) + bias;
+        if (std::fabs(residual) < window)
+            cells.push_back({static_cast<uint32_t>(i), residual,
+                             1.0 - normalCdf(-residual / noise_rms)});
+    }
+    return cells;
+}
+
+// Returns the number of sources both scans found.
+size_t
+expectEnrollmentMatchesReference(const TrngConfig &cfg)
+{
+    const std::vector<MetastableCell> want = referenceEnrollment(cfg);
+    const CodicTrng trng(cfg);
+    const std::vector<MetastableCell> &got = trng.sources();
+    EXPECT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+        EXPECT_EQ(got[i].index, want[i].index);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[i].offset),
+                  std::bit_cast<uint64_t>(want[i].offset));
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[i].p_one),
+                  std::bit_cast<uint64_t>(want[i].p_one));
+    }
+    return want.size();
+}
+
+TEST(Trng, RadiusCutEnrollmentMatchesPlainScan)
+{
+    // Window 80 puts |bias| inside the window, which turns the cut
+    // off; the others cut. Odd and one-cell segments leave the last
+    // pair's second normal unused.
+    const int segment_bits[] = {65536, 4097, 1};
+    size_t sources = 0;
+    for (uint64_t seed = 1; seed <= 100; ++seed) {
+        for (double temp : {30.0, 55.0, 85.0}) {
+            for (double window : {0.5, 1.0, 4.0, 80.0}) {
+                TrngConfig cfg;
+                cfg.run.seed = seed;
+                cfg.params.temperature_c = temp;
+                cfg.metastable_window = window;
+                cfg.segment_bits = segment_bits[seed % 3];
+                sources += expectEnrollmentMatchesReference(cfg);
+            }
+        }
+    }
+    // No process variation (sigma = 0: every cell sits at the bias)
+    // and a designed bias of the opposite sign.
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+        for (double window : {1.0, 80.0}) {
+            TrngConfig cfg;
+            cfg.run.seed = seed;
+            cfg.metastable_window = window;
+            cfg.segment_bits = 4097;
+            cfg.params.process_variation = 0.0;
+            sources += expectEnrollmentMatchesReference(cfg);
+            cfg.params.process_variation = 0.04;
+            cfg.params.designed_sa_bias = -20e-3;
+            sources += expectEnrollmentMatchesReference(cfg);
+        }
+    }
+    EXPECT_GT(sources, 0u);
 }
 
 TEST(Trng, HarvestedBitsAreBalancedAndPassCoreTests)

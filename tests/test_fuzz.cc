@@ -3,9 +3,9 @@
  * Property/fuzz tests: long random-but-legal command streams through
  * the DRAM channel, random schedule classification totality, random
  * cache traffic against a reference model, and end-to-end
- * determinism checks. These guard the invariants DESIGN.md lists:
- * the JEDEC checker never admits an illegal issue, classification is
- * total, and simulations are reproducible from seeds.
+ * determinism checks. These guard three invariants: the JEDEC
+ * checker never admits an illegal issue, classification is total,
+ * and simulations are reproducible from seeds.
  */
 
 #include <gtest/gtest.h>

@@ -1,14 +1,19 @@
 /**
  * @file
- * Golden-determinism suite: the four CI-pinned paper scenarios,
- * run through the same JSON sink stack codic_run uses, must produce
- * output byte-identical to bench/GOLDEN_eager_paper.json - the
- * document captured from the pre-redesign blocking MemoryService -
- * at 1 AND at 8 campaign threads. This pins the whole hot path
- * (arena ticket records, SoA bank timing state, pow2 address
- * decode, channel-parallel stepping) to the published numbers: a
- * refactor that moves a single byte of the eager-preset paper
- * campaigns fails here before it reaches CI's out-of-process cmp.
+ * Golden-determinism suite, run through the same JSON sink stack
+ * codic_run uses, at 1 AND at 8 campaign threads:
+ *  - the four CI-pinned paper scenarios must produce output
+ *    byte-identical to bench/GOLDEN_eager_paper.json - the document
+ *    captured from the pre-redesign blocking MemoryService. This
+ *    pins the whole hot path (arena ticket records, SoA bank timing
+ *    state, pow2 address decode, channel-parallel stepping) to the
+ *    published numbers;
+ *  - the whole scenario catalog (`codic_run --all --scale 0.05`)
+ *    must match bench/GOLDEN_catalog.json, so the PUF, TRNG, fleet,
+ *    thermal and trace campaigns are pinned too.
+ * A refactor that moves a single byte fails here before it reaches
+ * CI's out-of-process cmp. A deliberate change of output re-pins the
+ * golden and says why in CHANGES.md.
  */
 
 #include <fstream>
@@ -47,13 +52,29 @@ pinnedDocumentAt(int threads)
     return out.str();
 }
 
+// The whole registry, as `codic_run --all --scale 0.05` runs it.
 std::string
-goldenFileContents()
+catalogDocumentAt(int threads)
+{
+    RunOptions options;
+    options.scale = 0.05;
+    options.threads = threads;
+
+    std::ostringstream out;
+    JsonResultSink sink(out);
+    for (const std::string &name : ScenarioRegistry::instance().names())
+        EXPECT_TRUE(runScenario(name, options, sink)) << name;
+    sink.finish();
+    return out.str();
+}
+
+std::string
+goldenFileContents(const char *file)
 {
     // Tests run from the build tree; CODIC_REPO_DIR points at the
     // source tree (set in CMakeLists.txt).
     const std::string path =
-        std::string(CODIC_REPO_DIR) + "/bench/GOLDEN_eager_paper.json";
+        std::string(CODIC_REPO_DIR) + "/bench/" + file;
     std::ifstream in(path, std::ios::binary);
     EXPECT_TRUE(in) << "cannot open " << path;
     std::ostringstream bytes;
@@ -63,7 +84,7 @@ goldenFileContents()
 
 TEST(GoldenPaperScenarios, ByteIdenticalAtOneThread)
 {
-    const std::string golden = goldenFileContents();
+    const std::string golden = goldenFileContents("GOLDEN_eager_paper.json");
     ASSERT_FALSE(golden.empty());
     EXPECT_EQ(pinnedDocumentAt(1), golden)
         << "eager-preset paper output moved vs the pinned golden";
@@ -71,10 +92,26 @@ TEST(GoldenPaperScenarios, ByteIdenticalAtOneThread)
 
 TEST(GoldenPaperScenarios, ByteIdenticalAtEightThreads)
 {
-    const std::string golden = goldenFileContents();
+    const std::string golden = goldenFileContents("GOLDEN_eager_paper.json");
     ASSERT_FALSE(golden.empty());
     EXPECT_EQ(pinnedDocumentAt(8), golden)
         << "paper output depends on the thread count";
+}
+
+TEST(GoldenCatalog, ByteIdenticalAtOneThread)
+{
+    const std::string golden = goldenFileContents("GOLDEN_catalog.json");
+    ASSERT_FALSE(golden.empty());
+    EXPECT_EQ(catalogDocumentAt(1), golden)
+        << "scenario catalog output moved vs the pinned golden";
+}
+
+TEST(GoldenCatalog, ByteIdenticalAtEightThreads)
+{
+    const std::string golden = goldenFileContents("GOLDEN_catalog.json");
+    ASSERT_FALSE(golden.empty());
+    EXPECT_EQ(catalogDocumentAt(8), golden)
+        << "scenario catalog output depends on the thread count";
 }
 
 } // namespace

@@ -7,6 +7,9 @@
  * model.
  */
 
+#include <map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "puf/chip_model.h"
@@ -314,6 +317,83 @@ TEST_F(PopulationFixture, SigFilterMakesResponsesRepeatable)
     const Response a = sig.evaluateFiltered(chip, ch, {30.0, false, 1});
     const Response b = sig.evaluateFiltered(chip, ch, {30.0, false, 2});
     EXPECT_EQ(a, b);
+}
+
+// The majority filter as a plain loop: filter_challenges separate
+// evaluate() calls with the documented per-pass nonces, counted in a
+// map. The build-once filters must match it exactly.
+Response
+referenceMajority(const DramPuf &puf, const SimulatedChip &chip,
+                  const Challenge &ch, const QueryEnv &env, int passes,
+                  uint64_t nonce_multiplier)
+{
+    std::map<uint32_t, int> votes;
+    for (int i = 0; i < passes; ++i) {
+        QueryEnv e = env;
+        e.nonce = env.nonce * nonce_multiplier +
+                  static_cast<uint64_t>(i) + 1;
+        for (uint32_t c : puf.evaluate(chip, ch, e).cells)
+            ++votes[c];
+    }
+    Response r;
+    for (const auto &[cell, count] : votes)
+        if (count * 2 > passes)
+            r.cells.push_back(cell);
+    return r;
+}
+
+TEST_F(PopulationFixture, FilteredEvaluationsMatchPlainMajorityVote)
+{
+    // Two DDR3 and two DDR3L chips, several segments each. The
+    // flicker-heavy parameter sets make the per-pass noise decide
+    // votes; the defaults have few marginal cells.
+    std::vector<const SimulatedChip *> chips;
+    for (bool ddr3l : {false, true}) {
+        const auto group = filterByVoltage(*chips_, ddr3l);
+        chips.push_back(group[0]);
+        chips.push_back(group[5]);
+    }
+    size_t flickered = 0;
+    for (int passes : {1, 4, 5}) {
+        for (bool flicker_heavy : {false, true}) {
+            SigPufParams sp;
+            PrelatPufParams pp;
+            sp.filter_challenges = passes;
+            pp.filter_challenges = passes;
+            if (flicker_heavy) {
+                sp.marginal_fraction = 0.3;
+                sp.ddr3l_marginal_fraction = 0.3;
+                pp.marginal_fraction = 0.3;
+            }
+            const CodicSigPuf sig(sp);
+            const PrelatPuf prelat(pp);
+            for (const SimulatedChip *chip : chips) {
+                for (uint64_t segment : {0, 3, 42}) {
+                    const Challenge ch{segment, 65536};
+                    for (double temp : {30.0, 55.0, 85.0}) {
+                        for (bool aged : {false, true}) {
+                            const QueryEnv env{temp, aged, segment + 7};
+                            const Response s =
+                                sig.evaluateFiltered(*chip, ch, env);
+                            EXPECT_EQ(s, referenceMajority(sig, *chip, ch,
+                                                           env, passes,
+                                                           1000003ULL));
+                            const Response p =
+                                prelat.evaluateFiltered(*chip, ch, env);
+                            EXPECT_EQ(p, referenceMajority(prelat, *chip,
+                                                           ch, env, passes,
+                                                           1000033ULL));
+                            if (s != sig.evaluate(*chip, ch, env) ||
+                                p != prelat.evaluate(*chip, ch, env))
+                                ++flickered;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The noise really decided some votes.
+    EXPECT_GT(flickered, 0u);
 }
 
 TEST_F(PopulationFixture, LatencyFilterSelectsHighProbabilityCells)
