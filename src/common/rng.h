@@ -35,6 +35,15 @@ boxMuller(double u1, double u2)
     return {r * std::cos(theta), r * std::sin(theta)};
 }
 
+/**
+ * Bound on |g| for every normal g that Rng::gaussian() returns: its
+ * u1 is a nonzero multiple of 2^-53, so the boxMuller() radius is at
+ * most sqrt(-2 ln 2^-53) = 8.57167434865... The constant rounds that
+ * up in the seventh decimal, so a cut derived from it stays on the
+ * safe side of any rounding in the transform (DramLatencyPuf).
+ */
+constexpr double kGaussianRadius = 8.5716744;
+
 /** SplitMix64 stream, used to expand a single seed into generator state. */
 class SplitMix64
 {

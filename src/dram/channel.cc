@@ -81,8 +81,10 @@ DramChannel::registerVariant(const SignalSchedule &sched)
     // ensures only encodable schedules are accepted.
     ModeRegisterFile mrf;
     mrf.program(sched);
-    variants_.push_back(mrf.decode());
-    CODIC_ASSERT(variants_.back() == sched);
+    const SignalSchedule decoded = mrf.decode();
+    CODIC_ASSERT(decoded == sched);
+    variants_.push_back({decoded, classifySchedule(decoded),
+                         config_.nsToCycles(variantLatencyNs(decoded))});
     return static_cast<int>(variants_.size()) - 1;
 }
 
@@ -90,7 +92,7 @@ const SignalSchedule &
 DramChannel::variantSchedule(int id) const
 {
     CODIC_ASSERT(id >= 0 && static_cast<size_t>(id) < variants_.size());
-    return variants_[static_cast<size_t>(id)];
+    return variants_[static_cast<size_t>(id)].schedule;
 }
 
 Cycle
@@ -214,9 +216,8 @@ DramChannel::earliest(const Command &cmd) const
         // Variants that run longer than a precharge draw activation
         // current and count against tRRD/tFAW; precharge-length
         // variants do not (apply() notes the same split).
-        const double lat_ns = variantLatencyNs(
-            variants_[static_cast<size_t>(cmd.codic_variant)]);
-        if (config_.nsToCycles(lat_ns) > t.trp)
+        if (variants_[static_cast<size_t>(cmd.codic_variant)].latency >
+            t.trp)
             when = std::max(when, earliestActClass(cmd.addr.rank));
         return when;
       }
@@ -403,10 +404,10 @@ DramChannel::apply(const Command &cmd, Cycle t)
       }
       case CommandType::Codic: {
         ++counts_.codic;
-        const SignalSchedule &sched =
+        const Variant &variant =
             variants_[static_cast<size_t>(cmd.codic_variant)];
-        const VariantClass cls = classifySchedule(sched);
-        const Cycle lat = config_.nsToCycles(variantLatencyNs(sched));
+        const VariantClass cls = variant.cls;
+        const Cycle lat = variant.latency;
         if (lat > tt.trp)
             noteActClass(cmd.addr.rank, t);
         uint8_t &rs = row_state_[rowIdx(bi, cmd.addr.row)];
@@ -423,7 +424,7 @@ DramChannel::apply(const Command &cmd, Cycle t)
                 bank_open_since_[bi] = t;
             bank_active_[bi] = 1;
             bank_open_row_[bi] = cmd.addr.row;
-            const auto sp = sched.pulse(Signal::SenseP);
+            const auto sp = variant.schedule.pulse(Signal::SenseP);
             double ready_ns =
                 static_cast<double>(sp ? sp->start_ns : 7) +
                 kSenseAmplifyNs;

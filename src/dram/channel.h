@@ -294,7 +294,14 @@ class DramChannel
     std::vector<uint8_t> faw_count_;
     std::vector<uint8_t> faw_head_;
 
-    std::vector<SignalSchedule> variants_;
+    /** A registered CODIC variant, its timing resolved once. */
+    struct Variant
+    {
+        SignalSchedule schedule;
+        VariantClass cls;
+        Cycle latency; //!< Bank occupancy (variantLatencyNs) in cycles.
+    };
+    std::vector<Variant> variants_;
     CommandCounts counts_;
     Cycle last_issue_ = 0;
 

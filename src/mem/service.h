@@ -30,8 +30,7 @@
  *    queued request that has arrived and catches up refresh debt.
  *  - drainAll() services everything still queued (reads, row ops,
  *    buffered writes) and returns the cycle the service is
- *    quiescent. On the blocking shim this is exactly the old
- *    drainWrites() semantics.
+ *    quiescent.
  *
  * The blocking helpers at the bottom are the compatibility shim the
  * paper campaigns keep using: each one is submit + resolve in a
@@ -166,9 +165,6 @@ class MemoryService
         return completionOf(submit(MemTransaction::makeRowOp(
             row_addr, now, mech, reserved_row)));
     }
-
-    /** Legacy name for drainAll() (identical semantics). */
-    Cycle drainWrites() { return drainAll(); }
 };
 
 } // namespace codic

@@ -1,6 +1,7 @@
 #include "puf/chip_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.h"
@@ -30,20 +31,6 @@ populationCount(Rng &rng, double fraction, int bits)
     return static_cast<size_t>(std::llround(k));
 }
 
-/** Draw `count` distinct sorted bit positions in [0, bits). */
-std::vector<uint32_t>
-drawPositions(Rng &rng, size_t count, int bits)
-{
-    std::vector<uint32_t> pos;
-    pos.reserve(count);
-    for (size_t i = 0; i < count; ++i)
-        pos.push_back(static_cast<uint32_t>(
-            rng.below(static_cast<uint64_t>(bits))));
-    std::sort(pos.begin(), pos.end());
-    pos.erase(std::unique(pos.begin(), pos.end()), pos.end());
-    return pos;
-}
-
 // Domain tags for deterministic per-chip streams.
 constexpr uint64_t kDomainParams = 1;
 constexpr uint64_t kDomainSig = 2;
@@ -53,6 +40,39 @@ constexpr uint64_t kDomainPrelatChip = 5;
 constexpr uint64_t kDomainPrelatSeg = 6;
 
 } // namespace
+
+std::vector<uint32_t>
+drawPositions(Rng &rng, size_t count, int bits)
+{
+    // A sort beats the bitmap scan on small draws; a bitmap much
+    // larger than the draw count would cost more to scan (and hold)
+    // than the sort it replaces.
+    constexpr size_t kBitmapMinDraws = 64;
+    constexpr size_t kBitmapWordsPerDraw = 16;
+    const uint64_t n = static_cast<uint64_t>(bits);
+    const size_t words = static_cast<size_t>(n / 64 + (n % 64 != 0));
+    std::vector<uint32_t> pos;
+    pos.reserve(count);
+    if (count < kBitmapMinDraws || words > kBitmapWordsPerDraw * count) {
+        for (size_t i = 0; i < count; ++i)
+            pos.push_back(static_cast<uint32_t>(rng.below(n)));
+        std::sort(pos.begin(), pos.end());
+        pos.erase(std::unique(pos.begin(), pos.end()), pos.end());
+        return pos;
+    }
+    // The same draws marked in a bitmap; scanning it emits each
+    // position once, in ascending order.
+    std::vector<uint64_t> seen(words);
+    for (size_t i = 0; i < count; ++i) {
+        const uint64_t p = rng.below(n);
+        seen[p / 64] |= uint64_t{1} << (p % 64);
+    }
+    for (size_t w = 0; w < words; ++w)
+        for (uint64_t m = seen[w]; m != 0; m &= m - 1)
+            pos.push_back(
+                static_cast<uint32_t>(w * 64 + std::countr_zero(m)));
+    return pos;
+}
 
 SimulatedChip::SimulatedChip(const ChipSpec &spec) : spec_(spec)
 {

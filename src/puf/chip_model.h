@@ -140,6 +140,15 @@ class SimulatedChip
     double prelat_col_fraction_;
 };
 
+/**
+ * Draw `count` uniform bit positions in [0, bits) with
+ * rng.below(bits), one draw each, and return the distinct ones in
+ * ascending order: sort + unique of the draws, computed without a
+ * comparison sort once the draws are many. Every population above is
+ * drawn with it.
+ */
+std::vector<uint32_t> drawPositions(Rng &rng, size_t count, int bits);
+
 /** Build one module's chips. */
 std::vector<ChipSpec> moduleChips(const std::string &name, Vendor vendor,
                                   int chips, double capacity_gbit,

@@ -2,17 +2,80 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+
+#include "common/logging.h"
 
 namespace codic {
+
+namespace {
+
+/** Failure probability of a cell with logistic argument z. */
+double
+logistic(double z)
+{
+    return 1.0 / (1.0 + std::exp(-z));
+}
+
+/**
+ * Largest logistic argument z at which no cell can pass the read
+ * filter. A cell of failure probability p is kept iff
+ * llround(reads * p + sd * g) > filter_threshold, i.e. iff
+ * reads * p + sd * g >= filter_threshold + 1/2, with
+ * sd = sqrt(max(reads * p * (1 - p), 1e-12)) and |g| <= R =
+ * kGaussianRadius. The reach reads * p + R * sd is nondecreasing on
+ * p in [0, 1/2], so bisection finds the largest p there whose reach
+ * stays under the threshold less a margin of 1e-9 of it, far above
+ * the rounding error of the filter's arithmetic. The cut is capped
+ * at p = 1/2 (z = 0); -inf (no cut) when even p = 0 could pass.
+ */
+double
+filterCut(const LatencyPufParams &params)
+{
+    const double n = static_cast<double>(params.reads);
+    const auto reach = [n](double p) {
+        return n * p +
+               kGaussianRadius * std::sqrt(std::max(n * p * (1.0 - p),
+                                                    1e-12));
+    };
+    const double pass = params.filter_threshold + 0.5;
+    const double target = pass - 1e-9 * pass;
+    double lo = 0.0;
+    double hi = 0.5;
+    if (reach(lo) >= target)
+        return -std::numeric_limits<double>::infinity();
+    if (reach(hi) < target) {
+        lo = hi;
+    } else {
+        for (int i = 0; i < 100; ++i) {
+            const double mid = 0.5 * (lo + hi);
+            (reach(mid) < target ? lo : hi) = mid;
+        }
+    }
+    return std::log(lo / (1.0 - lo));
+}
+
+} // namespace
 
 DramLatencyPuf::DramLatencyPuf(const LatencyPufParams &params)
     : params_(params)
 {
+    if (params_.reads < 1)
+        fatal("DRAM Latency PUF reads must be >= 1, got ",
+              params_.reads);
+    if (params_.filter_threshold < 0 ||
+        params_.filter_threshold >= params_.reads)
+        fatal("DRAM Latency PUF filter_threshold must lie in [0, reads = ",
+              params_.reads, "), got ", params_.filter_threshold);
+    if (!(params_.width > 0.0) || !std::isfinite(params_.width))
+        fatal("DRAM Latency PUF width must be positive and finite, got ",
+              params_.width);
+    cut_logit_ = filterCut(params_);
 }
 
 double
-DramLatencyPuf::failureProbability(const LatencyWeakCell &cell,
-                                   double temperature_c) const
+DramLatencyPuf::failureLogit(const LatencyWeakCell &cell,
+                             double temperature_c) const
 {
     const double dt = temperature_c - 30.0;
     const double theta = params_.theta_30c + params_.theta_per_c * dt;
@@ -21,8 +84,14 @@ DramLatencyPuf::failureProbability(const LatencyWeakCell &cell,
     const double strength =
         cell.strength +
         cell.temp_shift * params_.temp_shift_sigma * (dt / 55.0);
-    const double z = (theta - strength) / params_.width;
-    return 1.0 / (1.0 + std::exp(-z));
+    return (theta - strength) / params_.width;
+}
+
+double
+DramLatencyPuf::failureProbability(const LatencyWeakCell &cell,
+                                   double temperature_c) const
+{
+    return logistic(failureLogit(cell, temperature_c));
 }
 
 Response
@@ -30,6 +99,7 @@ DramLatencyPuf::evaluate(const SimulatedChip &chip,
                          const Challenge &challenge,
                          const QueryEnv &env) const
 {
+    // The population is sorted and unique, so the response is too.
     Rng noise = chip.domainRng(0x1A7, env.nonce ^ 0x5c4d);
     Response r;
     for (const auto &cell : chip.latencyWeakCells(
@@ -38,7 +108,6 @@ DramLatencyPuf::evaluate(const SimulatedChip &chip,
         if (noise.chance(p))
             r.cells.push_back(cell.index);
     }
-    std::sort(r.cells.begin(), r.cells.end());
     return r;
 }
 
@@ -47,24 +116,43 @@ DramLatencyPuf::evaluateFiltered(const SimulatedChip &chip,
                                  const Challenge &challenge,
                                  const QueryEnv &env) const
 {
+    // Binomial(reads, p) failure count, via the normal approximation
+    // with continuity correction (the filter only cares about the
+    // > threshold tail; exact draws would cost 100 RNG calls per cell
+    // on campaign-scale sweeps). Cell i takes the i-th normal of the
+    // call's own noise stream, so cells 2k and 2k + 1 share the k-th
+    // Box-Muller pair. A pair whose cells both sit under the cut
+    // cannot pass: its uniforms are drawn to keep the stream in step,
+    // and the transform, exp and sqrt are skipped.
     Rng noise = chip.domainRng(0x1A7F, env.nonce ^ 0x77aa);
+    const auto cells = chip.latencyWeakCells(challenge.segment_id,
+                                             challenge.segment_bits);
+    const double n = static_cast<double>(params_.reads);
     Response r;
-    for (const auto &cell : chip.latencyWeakCells(
-             challenge.segment_id, challenge.segment_bits)) {
-        const double p = failureProbability(cell, env.temperature_c);
-        // Binomial(reads, p) failure count, via the normal
-        // approximation with continuity correction (the filter only
-        // cares about the > threshold tail; exact draws would cost
-        // 100 RNG calls per cell on campaign-scale sweeps).
-        const double n = static_cast<double>(params_.reads);
+    const auto filter = [&](const LatencyWeakCell &cell, double z,
+                            double g) {
+        if (z < cut_logit_)
+            return;
+        const double p = logistic(z);
         const double mean = n * p;
         const double sd = std::sqrt(std::max(n * p * (1.0 - p), 1e-12));
-        const int failures = static_cast<int>(
-            std::llround(noise.gaussian(mean, sd)));
-        if (failures > params_.filter_threshold)
+        // The exact arithmetic of noise.gaussian(mean, sd).
+        if (std::llround(mean + sd * g) > params_.filter_threshold)
             r.cells.push_back(cell.index);
+    };
+    for (size_t i = 0; i < cells.size(); i += 2) {
+        const bool pair = i + 1 < cells.size();
+        const double z0 = failureLogit(cells[i], env.temperature_c);
+        const double z1 =
+            pair ? failureLogit(cells[i + 1], env.temperature_c) : z0;
+        const auto [u1, u2] = noise.boxMullerUniforms();
+        if (z0 < cut_logit_ && z1 < cut_logit_)
+            continue;
+        const auto [first, second] = boxMuller(u1, u2);
+        filter(cells[i], z0, first);
+        if (pair)
+            filter(cells[i + 1], z1, second);
     }
-    std::sort(r.cells.begin(), r.cells.end());
     return r;
 }
 

@@ -40,6 +40,11 @@ struct LatencyPufParams
 class DramLatencyPuf : public DramPuf
 {
   public:
+    /**
+     * @throws FatalError if reads < 1, if filter_threshold lies
+     *         outside [0, reads), or if width is not a positive
+     *         finite number.
+     */
     explicit DramLatencyPuf(const LatencyPufParams &params = {});
 
     const char *name() const override { return "DRAM Latency PUF"; }
@@ -60,8 +65,22 @@ class DramLatencyPuf : public DramPuf
     double failureProbability(const LatencyWeakCell &cell,
                               double temperature_c) const;
 
+    /**
+     * The filter's cut on the logistic argument z of
+     * failureProbability(): no noise draw can lift a cell with
+     * z < filterCutLogit() past filter_threshold, so evaluateFiltered()
+     * decides it without the normal draw's transform. -inf when no
+     * cell is decided that way.
+     */
+    double filterCutLogit() const { return cut_logit_; }
+
   private:
+    /** Logistic argument z: failure probability 1 / (1 + e^-z). */
+    double failureLogit(const LatencyWeakCell &cell,
+                        double temperature_c) const;
+
     LatencyPufParams params_;
+    double cut_logit_;
 };
 
 } // namespace codic

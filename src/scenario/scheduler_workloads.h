@@ -50,7 +50,7 @@ runTurnaroundWorkload(DramSystem &sys, int64_t ops,
                  t);
         t += 8;
     }
-    return engine ? sys.drainAllOn(*engine) : sys.drainWrites();
+    return engine ? sys.drainAllOn(*engine) : sys.drainAll();
 }
 
 /**
@@ -73,7 +73,7 @@ runRowHitWorkload(DramSystem &sys, int64_t writes,
                   t);
         t += 4;
     }
-    return engine ? sys.drainAllOn(*engine) : sys.drainWrites();
+    return engine ? sys.drainAllOn(*engine) : sys.drainAll();
 }
 
 /**
@@ -236,7 +236,7 @@ runPriorityStormWorkload(DramSystem &sys, int64_t waves,
             if (bg_latencies)
                 bg_latencies->push_back(done - wave_start);
         }
-        last = std::max(last, sys.drainWrites());
+        last = std::max(last, sys.drainAll());
         wave_start = last + 32;
     }
     return last;

@@ -133,6 +133,26 @@ TEST(Rng, GaussianScaled)
     EXPECT_NEAR(s.stddev(), 2.0, 0.05);
 }
 
+TEST(Rng, GaussianRadiusBoundsEveryTransform)
+{
+    // The smallest u1 gaussian() can draw is 2^-53, which gives the
+    // largest radius; the constant must sit just above it.
+    const double r_max = std::sqrt(-2.0 * std::log(0x1.0p-53));
+    EXPECT_GT(kGaussianRadius, r_max);
+    EXPECT_LT(kGaussianRadius - r_max, 1e-6);
+    for (int i = 0; i <= 4096; ++i) {
+        const double u2 = i / 4096.0 * (1.0 - 0x1.0p-53);
+        for (double u1 : {0x1.0p-53, 0x1.0p-52, 0.5, 1.0 - 0x1.0p-53}) {
+            const auto [first, second] = boxMuller(u1, u2);
+            EXPECT_LE(std::fabs(first), kGaussianRadius);
+            EXPECT_LE(std::fabs(second), kGaussianRadius);
+        }
+    }
+    Rng rng(16);
+    for (int i = 0; i < 100000; ++i)
+        EXPECT_LE(std::fabs(rng.gaussian()), kGaussianRadius);
+}
+
 TEST(Rng, ChanceProbability)
 {
     Rng rng(15);

@@ -374,6 +374,21 @@ TEST(Channel, CodicOccupiesBankForVariantLatency)
     ch.issue(c, 0);
     // 35 ns at 1.25 ns/cycle = 28 cycles.
     EXPECT_EQ(ch.earliest(cmd(CommandType::Act, 0, 1)), 28);
+    // registerVariant fixes each variant's latency in the registering
+    // channel's cycles: CODIC-det (35 ns) and CODIC-sig-opt (13 ns)
+    // at the DDR3-1600 and DDR4-3200 clocks.
+    for (const DramConfig &config :
+         {smallConfig(), DramConfig::preset("ddr4-3200", 64)}) {
+        for (const auto &variant : {variants::detZero(), variants::sigOpt()}) {
+            DramChannel fresh(config);
+            Command op = cmd(CommandType::Codic, 0, 0);
+            op.codic_variant = fresh.registerVariant(variant.schedule);
+            const Cycle done = fresh.issue(op, 0);
+            EXPECT_EQ(done,
+                      config.nsToCycles(variantLatencyNs(variant.schedule)));
+            EXPECT_EQ(fresh.earliest(cmd(CommandType::Act, 0, 1)), done);
+        }
+    }
 }
 
 TEST(Channel, ActivationClassCodicCountsTowardFaw)

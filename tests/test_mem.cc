@@ -117,7 +117,7 @@ TEST(Controller, DrainWritesCoversAllQueued)
     MemoryController mc(ch);
     for (int i = 0; i < 8; ++i)
         mc.write(static_cast<uint64_t>(i) * 64, 0);
-    const Cycle drained = mc.drainWrites();
+    const Cycle drained = mc.drainAll();
     EXPECT_GE(drained, ch.lastIssueCycle());
     EXPECT_EQ(ch.counts().wr, 8u);
 }

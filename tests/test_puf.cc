@@ -7,11 +7,15 @@
  * model.
  */
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "puf/chip_model.h"
 #include "puf/experiments.h"
 #include "puf/latency_puf.h"
@@ -173,6 +177,45 @@ TEST_F(PopulationFixture, SigPopulationSizeTracksFlipFraction)
         s.add(static_cast<double>(chip.sigCells(seg, 65536).size()));
     const double expected = chip.sigFlipFraction() * 65536.0;
     EXPECT_NEAR(s.mean(), expected, expected * 0.5 + 2.0);
+}
+
+// Every population is drawn as rng.below(bits) per position, then
+// sort + unique. drawPositions must return exactly that and leave the
+// stream where the plain loop leaves it.
+void
+expectDrawMatchesSortUnique(uint64_t seed, size_t count, int bits)
+{
+    Rng got_rng(seed);
+    Rng want_rng(seed);
+    const std::vector<uint32_t> got = drawPositions(got_rng, count, bits);
+    std::vector<uint32_t> want;
+    for (size_t i = 0; i < count; ++i)
+        want.push_back(static_cast<uint32_t>(
+            want_rng.below(static_cast<uint64_t>(bits))));
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    EXPECT_EQ(got, want) << "seed " << seed << " count " << count
+                         << " bits " << bits;
+    EXPECT_EQ(got_rng.next64(), want_rng.next64())
+        << "seed " << seed << " count " << count << " bits " << bits;
+}
+
+TEST(ChipModel, DrawPositionsMatchesSortUnique)
+{
+    // Every count 0-2,000 covers both sides of the sort/bitmap switch
+    // and bitmaps from sparse to saturated.
+    for (int bits : {1, 63, 64, 65, 1000, 65536})
+        for (size_t count = 0; count <= 2000; ++count)
+            expectDrawMatchesSortUnique(count * 7919 + bits, count, bits);
+    // Many seeds around the switch and at population-typical counts.
+    for (int bits : {1, 63, 64, 65, 1000, 65536})
+        for (size_t count : {0, 1, 2, 7, 12, 62, 63, 64, 65, 66, 145, 500,
+                             786})
+            for (uint64_t seed = 1; seed <= 40; ++seed)
+                expectDrawMatchesSortUnique(seed, count, bits);
+    // A bitmap far larger than the draws stays a sort.
+    for (uint64_t seed = 1; seed <= 5; ++seed)
+        expectDrawMatchesSortUnique(seed, 100, 1 << 30);
 }
 
 // --- Jaccard metric. ---
@@ -407,6 +450,198 @@ TEST_F(PopulationFixture, LatencyFilterSelectsHighProbabilityCells)
     // The filter is selective: it keeps a strict subset scale.
     EXPECT_LT(filtered.size(), raw.size());
     EXPECT_GT(filtered.size(), 0u);
+}
+
+// The Latency PUF's failure probability and both evaluations as
+// plain per-cell loops: one gaussian() or chance() per cell, then a
+// sort. The pair cut must match them bit for bit.
+double
+referenceFailureProbability(const LatencyPufParams &params,
+                            const LatencyWeakCell &cell,
+                            double temperature_c)
+{
+    const double dt = temperature_c - 30.0;
+    const double theta = params.theta_30c + params.theta_per_c * dt;
+    const double strength =
+        cell.strength +
+        cell.temp_shift * params.temp_shift_sigma * (dt / 55.0);
+    const double z = (theta - strength) / params.width;
+    return 1.0 / (1.0 + std::exp(-z));
+}
+
+Response
+referenceLatencyFiltered(const LatencyPufParams &params,
+                         const SimulatedChip &chip,
+                         const Challenge &challenge, const QueryEnv &env)
+{
+    Rng noise = chip.domainRng(0x1A7F, env.nonce ^ 0x77aa);
+    Response r;
+    for (const auto &cell : chip.latencyWeakCells(
+             challenge.segment_id, challenge.segment_bits)) {
+        const double p =
+            referenceFailureProbability(params, cell, env.temperature_c);
+        const double n = static_cast<double>(params.reads);
+        const double mean = n * p;
+        const double sd = std::sqrt(std::max(n * p * (1.0 - p), 1e-12));
+        const int failures = static_cast<int>(
+            std::llround(noise.gaussian(mean, sd)));
+        if (failures > params.filter_threshold)
+            r.cells.push_back(cell.index);
+    }
+    std::sort(r.cells.begin(), r.cells.end());
+    return r;
+}
+
+Response
+referenceLatencyRaw(const LatencyPufParams &params,
+                    const SimulatedChip &chip, const Challenge &challenge,
+                    const QueryEnv &env)
+{
+    Rng noise = chip.domainRng(0x1A7, env.nonce ^ 0x5c4d);
+    Response r;
+    for (const auto &cell : chip.latencyWeakCells(
+             challenge.segment_id, challenge.segment_bits)) {
+        if (noise.chance(referenceFailureProbability(params, cell,
+                                                     env.temperature_c)))
+            r.cells.push_back(cell.index);
+    }
+    std::sort(r.cells.begin(), r.cells.end());
+    return r;
+}
+
+TEST_F(PopulationFixture, LatencyFilterMatchesPlainPerCellLoop)
+{
+    std::vector<LatencyPufParams> param_sets(1); // the defaults
+    for (int reads : {1, 5, 10, 25, 50}) {
+        // The puf_ablation_filter sweep.
+        LatencyPufParams p;
+        p.reads = reads;
+        p.filter_threshold = reads * 9 / 10;
+        param_sets.push_back(p);
+    }
+    param_sets.emplace_back().width = 0.01;
+    param_sets.emplace_back().temp_shift_sigma = 0.0;
+
+    std::vector<const SimulatedChip *> chips;
+    for (bool ddr3l : {false, true}) {
+        const auto group = filterByVoltage(*chips_, ddr3l);
+        chips.push_back(group[0]);
+        chips.push_back(group[9]);
+    }
+    // Small segments give odd and one-cell populations.
+    const Challenge challenges[] = {{0, 65536}, {5, 65536}, {42, 4097},
+                                    {7, 300}};
+    size_t kept = 0;
+    size_t cut = 0;
+    size_t cells = 0;
+    for (const LatencyPufParams &params : param_sets) {
+        const DramLatencyPuf puf(params);
+        const double p_cut =
+            1.0 / (1.0 + std::exp(-puf.filterCutLogit()));
+        for (const SimulatedChip *chip : chips) {
+            for (const Challenge &ch : challenges) {
+                for (double temp : {0.0, 30.0, 55.0, 85.0}) {
+                    for (uint64_t nonce : {1, 77}) {
+                        const QueryEnv env{temp, false, nonce};
+                        const Response got =
+                            puf.evaluateFiltered(*chip, ch, env);
+                        EXPECT_EQ(got, referenceLatencyFiltered(
+                                           params, *chip, ch, env));
+                        EXPECT_EQ(puf.evaluate(*chip, ch, env),
+                                  referenceLatencyRaw(params, *chip, ch,
+                                                      env));
+                        kept += got.size();
+                        for (const auto &cell : chip->latencyWeakCells(
+                                 ch.segment_id, ch.segment_bits)) {
+                            ++cells;
+                            if (puf.failureProbability(cell, temp) < p_cut)
+                                ++cut;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Both branches ran: cells were kept, and many sat under the cut.
+    EXPECT_GT(kept, 0u);
+    EXPECT_GT(cut, cells / 4);
+}
+
+// Worst case of the filter for a cell with logistic argument z: the
+// filter's own arithmetic with the largest normal an Rng can draw.
+long long
+worstFailureCount(const LatencyPufParams &params, double z)
+{
+    const double n = static_cast<double>(params.reads);
+    const double p = 1.0 / (1.0 + std::exp(-z));
+    const double sd = std::sqrt(std::max(n * p * (1.0 - p), 1e-12));
+    const double g_max = boxMuller(0x1.0p-53, 0.0).first;
+    return std::llround(n * p + sd * g_max);
+}
+
+TEST(LatencyPuf, FilterCutIsSafeAndTight)
+{
+    // Draws almost never reach |g| > 6, so the evaluation comparison
+    // cannot probe the cut's edge: check it against the largest draw
+    // directly. Just under the cut even that draw fails the filter;
+    // just over it (unless the cut is capped at p = 1/2) it passes.
+    size_t tight = 0;
+    for (int reads : {1, 2, 3, 5, 10, 25, 50, 100, 1000}) {
+        for (int threshold = 0; threshold < reads;
+             threshold += std::max(1, reads / 17)) {
+            LatencyPufParams params;
+            params.reads = reads;
+            params.filter_threshold = threshold;
+            const double z = DramLatencyPuf(params).filterCutLogit();
+            ASSERT_TRUE(std::isfinite(z)) << reads << "/" << threshold;
+            ASSERT_LE(z, 0.0);
+            const double below =
+                std::nextafter(z, -std::numeric_limits<double>::infinity());
+            EXPECT_LE(worstFailureCount(params, below), threshold)
+                << "reads " << reads << " threshold " << threshold;
+            if (z < 0.0) {
+                ++tight;
+                const double above = z + 1e-6 * std::max(1.0, -z);
+                EXPECT_GT(worstFailureCount(params, above), threshold)
+                    << "reads " << reads << " threshold " << threshold;
+            }
+        }
+    }
+    EXPECT_GT(tight, 10u);
+    // The paper's 100-read > 90 filter cuts just below p = 1/2.
+    const double z = DramLatencyPuf().filterCutLogit();
+    EXPECT_LT(z, 0.0);
+    EXPECT_GT(z, -0.2);
+}
+
+TEST(LatencyPuf, ConstructorRejectsInvalidParams)
+{
+    const auto with = [](auto edit) {
+        LatencyPufParams p;
+        edit(p);
+        return p;
+    };
+    EXPECT_THROW(DramLatencyPuf(with([](auto &p) { p.reads = 0; })),
+                 FatalError);
+    EXPECT_THROW(DramLatencyPuf(with([](auto &p) { p.reads = -3; })),
+                 FatalError);
+    EXPECT_THROW(
+        DramLatencyPuf(with([](auto &p) { p.filter_threshold = -1; })),
+        FatalError);
+    EXPECT_THROW(
+        DramLatencyPuf(with([](auto &p) { p.filter_threshold = 100; })),
+        FatalError);
+    for (double width : {0.0, -0.08, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()})
+        EXPECT_THROW(DramLatencyPuf(with([&](auto &p) { p.width = width; })),
+                     FatalError);
+    // The edges of the valid range construct.
+    EXPECT_NO_THROW(DramLatencyPuf(with([](auto &p) {
+        p.reads = 1;
+        p.filter_threshold = 0;
+    })));
+    EXPECT_NO_THROW(
+        DramLatencyPuf(with([](auto &p) { p.filter_threshold = 99; })));
 }
 
 TEST(PufPasses, PassCountsMatchMechanisms)

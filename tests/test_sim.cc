@@ -172,7 +172,7 @@ TEST(Core, HardwareDeallocInvalidatesCachedCopies)
     core.bind(&w);
     core.run();
     const uint64_t writes_before = h.channel.counts().wr;
-    h.controller.drainWrites();
+    h.controller.drainAll();
     EXPECT_EQ(h.channel.counts().wr, writes_before);
 }
 
@@ -198,7 +198,7 @@ TEST(Core, FlushWritesBackDirtyLine)
     Workload w{"f", {{OpType::Store, 0, 0}, {OpType::Flush, 0, 0}}};
     h.core.bind(&w);
     h.core.run();
-    h.controller.drainWrites();
+    h.controller.drainAll();
     EXPECT_GE(h.channel.counts().wr, 1u);
 }
 

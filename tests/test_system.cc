@@ -274,7 +274,7 @@ TEST(DramSystem, DrainWritesCoversEveryChannel)
     DramSystem sys(DramConfig::ddr3_1600(256, 2), cc);
     for (uint64_t line = 0; line < 16; ++line)
         sys.write(line * 64, 0);
-    const Cycle drained = sys.drainWrites();
+    const Cycle drained = sys.drainAll();
     EXPECT_GE(drained, sys.lastIssueCycle());
     EXPECT_EQ(sys.totalCounts().wr, 16u);
     EXPECT_EQ(sys.pendingWriteCount(), 0u);
