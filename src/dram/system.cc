@@ -13,6 +13,8 @@ DramSystem::DramSystem(const DramConfig &config,
     : config_(config), map_(config, controller_config.map_scheme)
 {
     config_.validate();
+    while ((1 << channel_bits_) < config_.channels)
+        ++channel_bits_;
     channels_.reserve(static_cast<size_t>(config_.channels));
     controllers_.reserve(static_cast<size_t>(config_.channels));
     for (int c = 0; c < config_.channels; ++c) {
@@ -45,41 +47,56 @@ DramSystem::controller(int i)
 }
 
 // System tickets pack (channel, channel-local ticket) as
-// (local - 1) * channels + channel + 1: a bijection, so no routing
-// table is needed and kInvalidTicket (0) is never produced.
+// (local << channel_bits_) | channel, so routing a ticket back needs
+// no table and no divide. A local ticket is never 0, so neither is a
+// system ticket: kInvalidTicket is never produced.
 
 Ticket
 DramSystem::packTicket(int channel, Ticket local) const
 {
-    return (local - 1) *
-               static_cast<Ticket>(channelCount()) +
-           static_cast<Ticket>(channel) + 1;
+    return (local << channel_bits_) | static_cast<Ticket>(channel);
 }
 
 int
 DramSystem::ticketChannel(Ticket ticket) const
 {
     CODIC_ASSERT(ticket != kInvalidTicket);
-    return static_cast<int>((ticket - 1) %
-                            static_cast<Ticket>(channelCount()));
+    const int channel =
+        static_cast<int>(ticket & ((Ticket{1} << channel_bits_) - 1));
+    CODIC_ASSERT(channel < channelCount());
+    return channel;
 }
 
 Ticket
 DramSystem::ticketLocal(Ticket ticket) const
 {
-    return (ticket - 1) / static_cast<Ticket>(channelCount()) + 1;
+    return ticket >> channel_bits_;
+}
+
+Address
+DramSystem::tapAndDecode(const MemTransaction &txn) const
+{
+    if (TraceRecorder::active())
+        TraceRecorder::tap(txn);
+    return map_.decode(txn.addr);
 }
 
 Ticket
 DramSystem::submit(const MemTransaction &txn)
 {
-    if (TraceRecorder::active())
-        TraceRecorder::tap(txn);
     // Decode once: the coordinates route the transaction AND ride
     // into the owning controller's queue entry.
-    const Address addr = map_.decode(txn.addr);
+    const Address addr = tapAndDecode(txn);
     const Ticket local = controller(addr.channel).submit(txn, addr);
     return packTicket(addr.channel, local);
+}
+
+Cycle
+DramSystem::complete(const MemTransaction &txn)
+{
+    const Address addr = tapAndDecode(txn);
+    return controllers_[static_cast<size_t>(addr.channel)]->complete(
+        txn, addr);
 }
 
 Cycle

@@ -69,13 +69,19 @@ class DramSystem : public MemoryService
     }
 
     // MemoryService: route each transaction to the owning channel's
-    // controller. System tickets encode (channel, local ticket)
-    // arithmetically, so routing a resolution back is stateless.
+    // controller. System tickets pack (local ticket, channel) into
+    // bit fields, so routing a resolution back is stateless.
     Ticket submit(const MemTransaction &txn) override;
     Cycle acceptedAt(Ticket ticket) const override;
     Cycle completionOf(Ticket ticket) override;
     void retire(Ticket ticket) override;
     void onComplete(Ticket ticket, CompletionCallback fn) override;
+
+    /**
+     * Route to the owning controller's complete(): the recording tap
+     * and the address decode run once, as in submit().
+     */
+    Cycle complete(const MemTransaction &txn) override;
 
     /** Advance every channel's scheduler to `now`. */
     size_t poll(Cycle now) override;
@@ -146,6 +152,12 @@ class DramSystem : public MemoryService
     int64_t countRowsInState(RowDataState s) const;
 
   private:
+    /**
+     * Offer `txn` to the TraceRecorder tap and decode its address:
+     * the one entry step of submit() and complete().
+     */
+    Address tapAndDecode(const MemTransaction &txn) const;
+
     /** Pack a channel-local ticket into a system ticket. */
     Ticket packTicket(int channel, Ticket local) const;
 
@@ -155,6 +167,8 @@ class DramSystem : public MemoryService
 
     DramConfig config_;
     AddressMap map_;
+    /** Low ticket bits holding the channel: ceil(log2(channels)). */
+    int channel_bits_ = 0;
     std::vector<std::unique_ptr<DramChannel>> channels_;
     std::vector<std::unique_ptr<MemoryController>> controllers_;
 };

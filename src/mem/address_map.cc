@@ -79,6 +79,7 @@ AddressMap::AddressMap(const DramConfig &config, MapScheme scheme)
     // A geometry nothing can map (channels = 0, inconsistent row
     // size, ...) is a user configuration error, not a simulator bug.
     config_.validate();
+    capacity_ = static_cast<uint64_t>(config_.capacityBytes());
 
     pow2_ = isPow2(static_cast<uint64_t>(config_.burst_bytes));
     burst_shift_ =
@@ -109,8 +110,7 @@ AddressMap::fieldSize(Field f) const
 Address
 AddressMap::decode(uint64_t phys_addr) const
 {
-    CODIC_ASSERT(phys_addr <
-                 static_cast<uint64_t>(config_.capacityBytes()));
+    CODIC_ASSERT(phys_addr < capacity_);
     uint64_t x = pow2_
                      ? phys_addr >> burst_shift_
                      : phys_addr /

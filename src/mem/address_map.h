@@ -88,6 +88,9 @@ class AddressMap
     MapScheme scheme_;
     std::array<Field, 5> order_; //!< LSB-first field order.
 
+    /** config_.capacityBytes(), the bound decode() checks. */
+    uint64_t capacity_ = 0;
+
     /** Field sizes in order_ order, cached off the config. */
     std::array<uint64_t, 5> sizes_{};
 

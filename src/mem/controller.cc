@@ -484,27 +484,38 @@ MemoryController::serviceOneRequest(Cycle arrival_bound)
     const QueuedRequest req = read_q_[pick];
     read_q_.erase(read_q_.begin() +
                   static_cast<std::ptrdiff_t>(pick));
-    const Cycle done = req.txn.kind == TxnKind::Read
-                           ? issueRead(req.txn, req.addr)
-                           : issueRowOp(req.txn, req.addr);
-    OriginCounts &oc = originSlot(req.txn.origin);
-    if (req.txn.kind == TxnKind::Read) {
+    const Cycle done = serviceRequest(req.txn, req.addr);
+    markCompleted(req.ticket, done);
+    return done;
+}
+
+Cycle
+MemoryController::serviceRequest(const MemTransaction &txn,
+                                 const Address &addr)
+{
+    const Cycle done = txn.kind == TxnKind::Read
+                           ? issueRead(txn, addr)
+                           : issueRowOp(txn, addr);
+    OriginCounts &oc = originSlot(txn.origin);
+    if (txn.kind == TxnKind::Read) {
         ++oc.reads;
-        const Cycle latency = done - req.txn.arrival;
+        const Cycle latency = done - txn.arrival;
         oc.read_latency_cycles += static_cast<uint64_t>(latency);
         oc.max_read_latency = std::max(oc.max_read_latency, latency);
     } else {
         ++oc.rowops;
         oc.rowop_latency_cycles +=
-            static_cast<uint64_t>(done - req.txn.arrival);
+            static_cast<uint64_t>(done - txn.arrival);
     }
-    markCompleted(req.ticket, done);
     return done;
 }
 
 OriginCounts &
 MemoryController::originSlot(uint64_t origin)
 {
+    if (last_origin_ < origin_counts_.size() &&
+        origin_counts_[last_origin_].origin == origin)
+        return origin_counts_[last_origin_];
     auto it = std::lower_bound(
         origin_counts_.begin(), origin_counts_.end(), origin,
         [](const OriginCounts &c, uint64_t o) { return c.origin < o; });
@@ -513,6 +524,7 @@ MemoryController::originSlot(uint64_t origin)
         fresh.origin = origin;
         it = origin_counts_.insert(it, fresh);
     }
+    last_origin_ = static_cast<size_t>(it - origin_counts_.begin());
     return *it;
 }
 
@@ -659,6 +671,30 @@ MemoryController::submit(const MemTransaction &txn,
       }
     }
     return ticket;
+}
+
+Cycle
+MemoryController::complete(const MemTransaction &txn)
+{
+    return complete(txn, map_.decode(txn.addr));
+}
+
+Cycle
+MemoryController::complete(const MemTransaction &txn,
+                           const Address &addr)
+{
+    if (txn.kind == TxnKind::Write || !read_q_.empty())
+        return completionOf(submit(txn, addr));
+#ifndef NDEBUG
+    CODIC_ASSERT(!in_callback_,
+                 "complete() called from inside a completion callback");
+#endif
+    // Exactly what submit + completionOf do with an empty read
+    // queue: the request is the whole window, pickRequestIndex()
+    // returns the head, the head's bypass count restarts, and no
+    // callback can be waiting on a ticket that never existed.
+    head_bypasses_ = 0;
+    return serviceRequest(txn, addr);
 }
 
 Cycle

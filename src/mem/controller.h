@@ -159,6 +159,18 @@ class MemoryController : public MemoryService
     Cycle acceptedAt(Ticket ticket) const override;
     Cycle completionOf(Ticket ticket) override;
     void retire(Ticket ticket) override;
+
+    /**
+     * Blocking submit + resolve. With the read queue empty a read or
+     * row op is the whole FR-FCFS window, so the queued path would
+     * pick it at once: it issues here with no ticket, record or
+     * queue entry. Writes, and requests that would queue behind
+     * others, take completionOf(submit(txn)).
+     */
+    Cycle complete(const MemTransaction &txn) override;
+
+    /** complete() with `txn.addr` already decoded (see submit()). */
+    Cycle complete(const MemTransaction &txn, const Address &addr);
     void onComplete(Ticket ticket, CompletionCallback fn) override;
     size_t poll(Cycle now) override;
     Cycle drainAll() override;
@@ -319,6 +331,13 @@ class MemoryController : public MemoryService
     Cycle serviceOneRequest(Cycle arrival_bound);
 
     /**
+     * Issue one read or row op and account it to its origin; returns
+     * its completion cycle. The one issue path of the queued and the
+     * ticket-free requests.
+     */
+    Cycle serviceRequest(const MemTransaction &txn, const Address &addr);
+
+    /**
      * serviceOneRequest() at the default scheduling horizon:
      * everything arrived by the time the channel could service the
      * queue head (max of head arrival and last issue cycle).
@@ -399,6 +418,8 @@ class MemoryController : public MemoryService
      * lower_bound is a short probe over a hot vector.
      */
     std::vector<OriginCounts> origin_counts_;
+    /** Index originSlot() returned last; tried before the search. */
+    size_t last_origin_ = 0;
     /** Pending (unissued) writes per bank, indexed by bankIndex(). */
     std::vector<uint32_t> bank_pending_;
     /**

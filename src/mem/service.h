@@ -32,11 +32,12 @@
  *    buffered writes) and returns the cycle the service is
  *    quiescent.
  *
- * The blocking helpers at the bottom are the compatibility shim the
- * paper campaigns keep using: each one is submit + resolve in a
- * single call, so every caller - shimmed or not - runs through the
- * same transaction scheduler, and the eager preset reproduces the
- * published numbers byte-for-byte.
+ * complete(txn) is the blocking form, submit + completionOf in one
+ * call, for callers that wait on every read or row op (the
+ * trace-driven cores, the paper campaigns' read()/rowOp() shims).
+ * It returns the cycle completionOf(submit(txn)) would, with the
+ * same scheduler state afterwards; MemoryController serves it
+ * without a ticket when its read queue is empty.
  */
 
 #ifndef CODIC_MEM_SERVICE_H
@@ -90,6 +91,17 @@ class MemoryService
     virtual void retire(Ticket ticket) = 0;
 
     /**
+     * Submit a transaction and block until it completes: returns
+     * completionOf(submit(txn)) and leaves the service in the same
+     * state. An implementation may skip the ticket bookkeeping when
+     * that cannot change the schedule.
+     */
+    virtual Cycle complete(const MemTransaction &txn)
+    {
+        return completionOf(submit(txn));
+    }
+
+    /**
      * Register a completion callback on a live ticket (the
      * co-simulation path: a TickEngine producer submits without
      * blocking and learns the completion when the scheduler services
@@ -129,7 +141,7 @@ class MemoryService
     /** The DRAM configuration behind this service. */
     virtual const DramConfig &dramConfig() const = 0;
 
-    // --- Blocking shim (paper campaigns; submit + resolve) ---
+    // --- Blocking shim (paper campaigns) ---
 
     /**
      * Service a read to completion: the caller blocks until the data
@@ -137,8 +149,7 @@ class MemoryService
      */
     Cycle read(uint64_t phys_addr, Cycle now, uint64_t origin = 0)
     {
-        return completionOf(
-            submit(MemTransaction::makeRead(phys_addr, now, origin)));
+        return complete(MemTransaction::makeRead(phys_addr, now, origin));
     }
 
     /**
@@ -162,8 +173,8 @@ class MemoryService
     Cycle rowOp(uint64_t row_addr, Cycle now, RowOpMechanism mech,
                 int64_t reserved_row = 0)
     {
-        return completionOf(submit(MemTransaction::makeRowOp(
-            row_addr, now, mech, reserved_row)));
+        return complete(MemTransaction::makeRowOp(row_addr, now, mech,
+                                                  reserved_row));
     }
 };
 

@@ -1,12 +1,12 @@
 /**
  * @file
- * Memory transactions: the request currency of the redesigned
- * MemoryService API. A caller builds a MemTransaction (read, write,
- * or bulk row operation, stamped with its arrival cycle, a priority,
- * and an origin tag), submits it, and receives a Ticket. The
- * controller owns bounded read and write queues behind submit() and
- * resolves tickets on demand - see mem/service.h for the service
- * contract and the blocking shim kept for the paper campaigns.
+ * Memory transactions: the request currency of the MemoryService
+ * API. A caller builds a MemTransaction (read, write, or bulk row
+ * operation, stamped with its arrival cycle, a priority, and an
+ * origin tag) and either submits it for a Ticket or blocks on it
+ * with complete(). The controller owns bounded read and write queues
+ * behind submit() and resolves tickets on demand - see
+ * mem/service.h for the service contract.
  */
 
 #ifndef CODIC_MEM_TRANSACTION_H
@@ -35,9 +35,13 @@ enum class TxnKind : uint8_t
 };
 
 /**
- * Handle for a submitted transaction. Tickets are dense positive
- * integers, unique per service instance; kInvalidTicket (0) never
- * names a transaction.
+ * Handle for a submitted transaction: opaque, nonzero, and valid
+ * until resolved or retired. A MemoryController ticket is a
+ * generation-tagged handle into its record arena (common/pool.h),
+ * so a resolved ticket goes stale instead of naming a later
+ * transaction; a DramSystem ticket is the owning channel's ticket
+ * shifted left, with the channel number in the freed low bits.
+ * kInvalidTicket (0) never names a transaction.
  */
 using Ticket = uint64_t;
 

@@ -26,10 +26,17 @@ struct CacheAccessResult
 class Cache
 {
   public:
+    /** Most ways a set may have: its recency word holds 16 way ids. */
+    static constexpr int kMaxWays = 16;
+
     /**
      * @param size_bytes Total capacity.
-     * @param ways Associativity.
+     * @param ways Associativity, 1 to kMaxWays.
      * @param line_bytes Line size (64 B throughout the paper).
+     * @throws FatalError when the geometry cannot be built: ways
+     *         outside [1, kMaxWays], a line size that is not a power
+     *         of two of at least 8 bytes, fewer lines than ways, or a
+     *         set count that is not a power of two.
      */
     Cache(uint64_t size_bytes, int ways, int line_bytes = 64);
 
@@ -56,22 +63,37 @@ class Cache
     uint64_t misses() const { return misses_; }
 
   private:
-    struct Line
-    {
-        uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        uint64_t lru = 0;
-    };
+    /** Tag word of an empty way (no real tag word has every bit set). */
+    static constexpr uint64_t kEmpty = ~uint64_t{0};
 
-    size_t setIndex(uint64_t addr) const;
-    uint64_t tagOf(uint64_t addr) const;
+    /** Way of `set` holding `tag`, or -1 when absent. */
+    int findWay(size_t set, uint64_t tag) const;
+
+    /**
+     * Move `way` of `set` to the most-recent rank (`to_mru`) or to
+     * rank 0, the next victim, keeping the other ranks in order.
+     */
+    void rerank(size_t set, int way, bool to_mru);
 
     int line_bytes_;
     int ways_;
-    size_t sets_;
-    std::vector<Line> lines_; // sets_ x ways_.
-    uint64_t tick_ = 0;
+    int line_shift_ = 0; //!< log2(line_bytes_).
+    int set_shift_ = 0;  //!< log2(number of sets).
+    uint64_t set_mask_ = 0;
+    /**
+     * sets x ways tag words: (tag << 1) | dirty, or kEmpty. Tags stay
+     * below 2^61 (lines are >= 8 B), so the shift cannot overflow and
+     * kEmpty never equals a real word.
+     */
+    std::vector<uint64_t> tags_;
+    /**
+     * Per set, the exact LRU order: 4-bit way ids by recency rank,
+     * rank 0 (least recent) in the low nibble and rank ways-1 (most
+     * recent) above it; nibbles past ways-1 stay zero. Empty ways
+     * always hold the lowest ranks, so rank 0 is the victim of every
+     * miss: an empty way while one exists, else the LRU line.
+     */
+    std::vector<uint64_t> recency_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
 };

@@ -39,12 +39,6 @@ InOrderCore::bind(const Workload *workload, double start_ns)
     stats_ = {};
 }
 
-bool
-InOrderCore::done() const
-{
-    return !workload_ || cursor_ >= workload_->ops.size();
-}
-
 Cycle
 InOrderCore::nowCycles() const
 {
@@ -99,10 +93,9 @@ InOrderCore::doLoad(uint64_t addr)
         return;
     if (r2.writeback)
         submitWriteback(r2.victim_addr);
-    // The load blocks the in-order core: submit and resolve.
-    const Ticket t = controller_.submit(
-        MemTransaction::makeRead(addr, nowCycles(), addr_base_));
-    advanceTo(controller_.completionOf(t));
+    // The load blocks the in-order core.
+    advanceTo(controller_.complete(
+        MemTransaction::makeRead(addr, nowCycles(), addr_base_)));
 }
 
 void
@@ -123,9 +116,8 @@ InOrderCore::doStore(uint64_t addr)
     if (r2.writeback)
         submitWriteback(r2.victim_addr);
     // Write-allocate: fetch the line (read-for-ownership).
-    const Ticket t = controller_.submit(
-        MemTransaction::makeRead(addr, nowCycles(), addr_base_));
-    advanceTo(controller_.completionOf(t));
+    advanceTo(controller_.complete(
+        MemTransaction::makeRead(addr, nowCycles(), addr_base_)));
 }
 
 void
@@ -174,17 +166,16 @@ InOrderCore::doDealloc(uint64_t addr, uint64_t bytes)
     }
     // One in-DRAM row operation per row; stale cached copies of the
     // region are invalidated. The operation proceeds in DRAM without
-    // blocking the core: the completion cycle is discarded (the
-    // resolve only forces the command onto the channel at its
-    // arrival cycle, exactly like the pre-transaction controller).
+    // blocking the core: the completion cycle is discarded (complete()
+    // only forces the command onto the channel at its arrival cycle,
+    // exactly like the pre-transaction controller).
     for (uint64_t a = addr; a < addr + bytes;
          a += static_cast<uint64_t>(row_bytes)) {
         cpuCycles(config_.dealloc_cmd_cycles);
         l1_.invalidateRange(a, static_cast<uint64_t>(row_bytes));
         l2_.invalidateRange(a, static_cast<uint64_t>(row_bytes));
-        controller_.completionOf(controller_.submit(
-            MemTransaction::makeRowOp(a, nowCycles(), mech, 0,
-                                      addr_base_)));
+        controller_.complete(MemTransaction::makeRowOp(
+            a, nowCycles(), mech, 0, addr_base_));
         ++stats_.dealloc_rows;
     }
 }

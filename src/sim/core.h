@@ -10,12 +10,13 @@
  * either inline software zeroing or one in-DRAM row operation per row
  * (CODIC-det / RowClone / LISA-clone).
  *
- * The core is a transaction-API consumer (mem/service.h): loads and
- * stores submit a read transaction and block on completionOf;
- * writebacks are fire-and-forget submits (retired unqueried);
- * CLFLUSH blocks on acceptedAt (write-queue back-pressure); dealloc
- * row ops resolve without advancing core time. Every transaction is
- * tagged with the core's region base as its origin.
+ * The core is a transaction-API consumer (mem/service.h): load and
+ * store misses block on complete() of a read transaction (store
+ * misses fetch the line for ownership); writebacks are
+ * fire-and-forget submits (retired unqueried); CLFLUSH blocks on
+ * acceptedAt (write-queue back-pressure); dealloc row ops complete()
+ * without advancing core time. Every transaction is tagged with the
+ * core's region base as its origin.
  */
 
 #ifndef CODIC_SIM_CORE_H
@@ -84,7 +85,10 @@ class InOrderCore
     void bind(const Workload *workload, double start_ns = 0.0);
 
     /** True when the trace is exhausted. */
-    bool done() const;
+    bool done() const
+    {
+        return !workload_ || cursor_ >= workload_->ops.size();
+    }
 
     /** Local time (ns). */
     double timeNs() const { return now_ns_; }

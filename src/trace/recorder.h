@@ -1,14 +1,15 @@
 /**
  * @file
- * Process-wide trace recorder: a tap on DramSystem::submit that
- * captures every submitted transaction into a trace file, so ANY
- * registered scenario can be re-run with `codic_run --record-trace
- * FILE` to produce a reproducible DRAM-level trace - no per-scenario
- * plumbing required.
+ * Process-wide trace recorder: a tap on DramSystem's entry points
+ * (submit() and the blocking complete()) that captures every
+ * transaction into a trace file, once each, so ANY registered
+ * scenario can be re-run with `codic_run --record-trace FILE` to
+ * produce a reproducible DRAM-level trace - no per-scenario plumbing
+ * required.
  *
- * The tap is designed to be free when off: DramSystem::submit checks
- * one relaxed atomic pointer and branches away. When on, records
- * append under a mutex in submission order, so a recording made at
+ * The tap is designed to be free when off: DramSystem checks one
+ * relaxed atomic flag and branches away. When on, records append
+ * under a mutex in submission order, so a recording made at
  * --threads 1 is byte-deterministic; recordings of multi-threaded
  * campaigns interleave the worker threads' submissions in wall-clock
  * order and are reproducible runs but not byte-stable files (the
@@ -42,7 +43,7 @@ class TraceRecorder
      */
     static uint64_t stop();
 
-    /** Cheap check compiled into the DramSystem::submit hot path. */
+    /** Cheap check compiled into DramSystem's entry hot path. */
     static bool active();
 
     /** Append one submitted transaction (no-op when inactive). */

@@ -18,9 +18,9 @@
  *    the post-LLC level below, recording hit/miss/writeback stats.
  *  - DRAM-level traces (Read / Write / RowOp): the post-LLC miss
  *    stream a MemoryService actually schedules. TraceRecorder taps
- *    DramSystem::submit to capture one from any running scenario,
- *    and TraceReplaySource re-drives a MemoryService from one with
- *    the original inter-arrival timing.
+ *    DramSystem's submit() and complete() to capture one from any
+ *    running scenario, and TraceReplaySource re-drives a
+ *    MemoryService from one with the original inter-arrival timing.
  *
  * File layout (all fixed-width header/index integers little-endian):
  *

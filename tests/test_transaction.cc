@@ -8,14 +8,20 @@
  */
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "dram/system.h"
 #include "mem/controller.h"
 #include "scenario/scheduler_workloads.h"
+#include "trace/recorder.h"
 
 namespace codic {
 namespace {
@@ -200,6 +206,212 @@ TEST(Transaction, SystemTicketsRouteAcrossChannels)
     EXPECT_GT(sys.completionOf(t0), 0);
     EXPECT_EQ(sys.channel(0).counts().rd, 1u);
     EXPECT_EQ(sys.channel(1).counts().rd, 1u);
+}
+
+// --- complete(): the ticket-free blocking path. ---
+
+/** Everything one run of runBlockingScript() lets a caller observe. */
+struct ScriptLog
+{
+    /** Every cycle or count a call returned, in call order. */
+    std::vector<uint64_t> returned;
+    /** totalCounts(), per-bank counts included, flattened. */
+    std::vector<uint64_t> counts;
+    /** perOriginCounts(), flattened. */
+    std::vector<uint64_t> origins;
+    Cycle last_issue = 0;
+    uint64_t transactions = 0; //!< Transactions the script submitted.
+    uint64_t recorded = 0;     //!< Records the TraceRecorder kept.
+    std::string recording;     //!< The recording's bytes.
+    uint64_t shortcut_calls = 0; //!< Blocking calls at an empty queue.
+    uint64_t fallback_calls = 0; //!< Blocking calls behind queued reads.
+};
+
+std::vector<uint64_t>
+flattenCounts(const CommandCounts &c)
+{
+    std::vector<uint64_t> v = {
+        c.act,      c.pre,      c.rd,
+        c.wr,       c.ref,      c.refpb,
+        c.mrs,      c.codic,    c.rowclone,
+        c.lisa_rbm, c.rd_wr_turnarounds, c.wr_rd_turnarounds,
+        c.refresh_overlap_cycles};
+    for (const BankCounts &b : c.per_bank)
+        v.insert(v.end(),
+                 {b.act, b.rd, b.wr, b.ref, b.refpb, b.refresh_cycles});
+    return v;
+}
+
+std::vector<uint64_t>
+flattenOrigins(const std::vector<OriginCounts> &origins)
+{
+    std::vector<uint64_t> v;
+    for (const OriginCounts &o : origins)
+        v.insert(v.end(), {o.origin, o.reads, o.writes, o.rowops,
+                           o.read_latency_cycles, o.rowop_latency_cycles,
+                           static_cast<uint64_t>(o.max_read_latency)});
+    return v;
+}
+
+/**
+ * Seeded mixed traffic over one DramSystem, recorded by the
+ * TraceRecorder. Each blocking read, row op (all three mechanisms)
+ * and the occasional blocking write goes through complete() when
+ * `use_complete`, else through completionOf(submit()); every other
+ * call is the same on both. Reads submitted and left queued make
+ * stretches where complete() must fall back, and a read with a
+ * pending onComplete callback keeps the queue non-empty until a
+ * later call services it.
+ */
+ScriptLog
+runBlockingScript(const DramConfig &config, bool use_complete,
+                  uint64_t seed)
+{
+    const std::string path = ::testing::TempDir() +
+                             "codic_blocking_script_" +
+                             (use_complete ? "complete" : "queued") +
+                             ".trace";
+    ControllerConfig cc;
+    if (config.channels > 1)
+        cc.map_scheme = MapScheme::RowBankColumnChannel;
+    ScriptLog log;
+    TraceMeta meta;
+    meta.scenario = "blocking_script";
+    meta.seed = seed;
+    TraceRecorder::start(path, meta);
+    {
+        DramSystem sys(config, cc);
+        Rng rng(seed);
+        const uint64_t row = static_cast<uint64_t>(config.row_bytes);
+        // Half the traffic sits in 4 rows of each of 2 banks (row
+        // hits, conflicts and same-row forwarding); the rest spreads
+        // over 64 MB.
+        const auto addr = [&] {
+            if (rng.below(2) == 0)
+                return rng.below(8) * row + rng.below(row / 64) * 64;
+            return rng.below(uint64_t{1} << 20) * 64;
+        };
+        const auto origin = [&] { return rng.below(3); };
+        const auto priority = [&] {
+            return rng.below(4) == 0 ? -1 : 0;
+        };
+        const auto blocking = [&](const MemTransaction &txn) {
+            ++log.transactions;
+            const int ch = sys.channelOf(txn.addr);
+            if (sys.controller(ch).pendingReadCount() == 0)
+                ++log.shortcut_calls;
+            else
+                ++log.fallback_calls;
+            log.returned.push_back(static_cast<uint64_t>(
+                use_complete ? sys.complete(txn)
+                             : sys.completionOf(sys.submit(txn))));
+        };
+        std::vector<Ticket> queued;
+        Cycle now = 0;
+        for (int i = 0; i < 6000; ++i) {
+            now += static_cast<Cycle>(rng.below(48));
+            const uint64_t pick = rng.below(100);
+            if (pick < 40) {
+                blocking(MemTransaction::makeRead(addr(), now, origin(),
+                                                  priority()));
+            } else if (pick < 50) {
+                const auto mech =
+                    static_cast<RowOpMechanism>(rng.below(3));
+                blocking(MemTransaction::makeRowOp(
+                    addr(), now, mech,
+                    static_cast<int64_t>(rng.below(
+                        static_cast<uint64_t>(config.rows))),
+                    origin()));
+            } else if (pick < 52) {
+                blocking(
+                    MemTransaction::makeWrite(addr(), now, origin()));
+            } else if (pick < 72) {
+                ++log.transactions;
+                const Ticket t = sys.submit(
+                    MemTransaction::makeWrite(addr(), now, origin()));
+                log.returned.push_back(
+                    static_cast<uint64_t>(sys.acceptedAt(t)));
+                sys.retire(t);
+            } else if (pick < 86) {
+                ++log.transactions;
+                queued.push_back(sys.submit(MemTransaction::makeRead(
+                    addr(), now, origin(), priority())));
+            } else if (pick < 91) {
+                for (const Ticket t : queued)
+                    log.returned.push_back(
+                        static_cast<uint64_t>(sys.completionOf(t)));
+                queued.clear();
+            } else if (pick < 95) {
+                log.returned.push_back(sys.poll(now));
+            } else {
+                ++log.transactions;
+                const Ticket t = sys.submit(MemTransaction::makeRead(
+                    addr(), now, origin(), priority()));
+                // Records only: callbacks must not re-enter.
+                sys.onComplete(t, [&log](Ticket, Cycle done) {
+                    log.returned.push_back(
+                        static_cast<uint64_t>(done) | (uint64_t{1} << 63));
+                });
+            }
+        }
+        for (const Ticket t : queued)
+            log.returned.push_back(
+                static_cast<uint64_t>(sys.completionOf(t)));
+        log.returned.push_back(static_cast<uint64_t>(sys.drainAll()));
+        log.counts = flattenCounts(sys.totalCounts());
+        log.origins = flattenOrigins(sys.perOriginCounts());
+        log.last_issue = sys.lastIssueCycle();
+    }
+    log.recorded = TraceRecorder::stop();
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    log.recording = bytes.str();
+    std::remove(path.c_str());
+    return log;
+}
+
+TEST(Transaction, CompleteMatchesSubmitThenCompletionOf)
+{
+    struct Case
+    {
+        int channels;
+        const char *sched;
+    };
+    const Case cases[] = {
+        {1, "eager"},   {1, "batched"},   {1, "serving"},
+        {2, "eager"},   {2, "batched"},   {2, "serving"},
+        {1, "batched:refresh=auto"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << c.channels << " channel(s), " << c.sched);
+        DramConfig config = DramConfig::ddr3_1600(256, c.channels);
+        config.scheduler = SchedulerPolicy::parse(c.sched);
+        const ScriptLog fast = runBlockingScript(config, true, 17);
+        const ScriptLog queued = runBlockingScript(config, false, 17);
+
+        ASSERT_EQ(fast.returned.size(), queued.returned.size());
+        const auto diverged = std::mismatch(fast.returned.begin(),
+                                            fast.returned.end(),
+                                            queued.returned.begin());
+        EXPECT_TRUE(diverged.first == fast.returned.end())
+            << "first differing result: #"
+            << (diverged.first - fast.returned.begin());
+        EXPECT_EQ(fast.counts, queued.counts);
+        EXPECT_EQ(fast.origins, queued.origins);
+        EXPECT_EQ(fast.last_issue, queued.last_issue);
+        // The tap sees each transaction exactly once on either path.
+        EXPECT_EQ(fast.recorded, fast.transactions);
+        EXPECT_EQ(queued.recorded, queued.transactions);
+        EXPECT_TRUE(fast.recording == queued.recording);
+        // Both branches of complete() ran.
+        EXPECT_GT(fast.shortcut_calls, 500u);
+        EXPECT_GT(fast.fallback_calls, 100u);
+        if (config.scheduler.auto_refresh) {
+            EXPECT_GT(fast.counts[4], 0u) << "REFs issued";
+        }
+    }
 }
 
 // --- drainAll services every buffered write. ---

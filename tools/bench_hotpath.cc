@@ -7,10 +7,13 @@
  * controller/channel implementation and nothing else:
  *
  *  - closed_loop: a submit -> poll -> complete closed loop over one
- *    FR-FCFS controller (batched preset): a bounded in-flight read
+ *    FR-FCFS controller (batched preset): a 32-deep in-flight read
  *    ring, fire-and-forget writebacks retired on submission, row ops
- *    sprinkled in, periodic poll() sweeps - the transaction pattern
- *    of the secure-deallocation and TCG evaluations.
+ *    sprinkled in, periodic poll() sweeps. It times the queued path:
+ *    reads always wait behind others. The secure-deallocation and
+ *    TCG evaluations' in-order cores block on one read at a time,
+ *    which MemoryService::complete() serves without a ticket; this
+ *    loop does not exercise that path.
  *
  *  - replay: the fleet ReplayCursor interleave - slices of cursors
  *    over distinct banks, each keeping one transaction in flight
@@ -60,9 +63,9 @@ wallSeconds(const std::chrono::steady_clock::time_point &start)
 
 /**
  * Closed submit -> poll -> complete loop: returns transactions
- * executed. A 32-deep read ring keeps completions chasing submissions
- * (the pattern every blocking shim caller produces), writes are
- * fire-and-forget retired, and every 64th transaction polls.
+ * executed. A 32-deep read ring keeps completions chasing
+ * submissions, writes are fire-and-forget retired, and every 64th
+ * transaction polls.
  */
 uint64_t
 runClosedLoop(uint64_t txns)
