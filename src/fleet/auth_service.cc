@@ -191,54 +191,6 @@ RequestGenerator::generate() const
 
 namespace {
 
-/**
- * Replay one filtered PUF evaluation's DRAM footprint: per pass one
- * CODIC-det row command plus a read sweep over the segment's bursts.
- */
-Cycle
-replayEvalFootprint(DramSystem &sys, Cycle now, uint64_t base_addr,
-                    int passes, int bursts)
-{
-    const int64_t burst_bytes = sys.config().burst_bytes;
-    for (int p = 0; p < passes; ++p) {
-        now = sys.rowOp(base_addr, now, RowOpMechanism::CodicDet);
-        for (int b = 0; b < bursts; ++b)
-            now = sys.read(base_addr +
-                               static_cast<uint64_t>(b) *
-                                   static_cast<uint64_t>(burst_bytes),
-                           now);
-    }
-    return now;
-}
-
-/** Replay a bulk zeroization: one CODIC-det row op per row. */
-Cycle
-replayDeallocFootprint(DramSystem &sys, Cycle now, uint64_t base_addr,
-                       int rows)
-{
-    const int64_t row_bytes = sys.config().row_bytes;
-    const uint64_t capacity =
-        static_cast<uint64_t>(sys.config().capacityBytes());
-    for (int r = 0; r < rows; ++r) {
-        const uint64_t addr =
-            (base_addr + static_cast<uint64_t>(r) *
-                             static_cast<uint64_t>(row_bytes)) %
-            capacity;
-        now = sys.rowOp(addr, now, RowOpMechanism::CodicDet);
-    }
-    return now;
-}
-
-/** Replay TRNG harvest commands (sigsa-class row commands). */
-Cycle
-replayTrngFootprint(DramSystem &sys, Cycle now, uint64_t base_addr,
-                    int commands)
-{
-    for (int c = 0; c < commands; ++c)
-        now = sys.rowOp(base_addr, now, RowOpMechanism::CodicDet);
-    return now;
-}
-
 /** Device's canonical physical row address inside a shard module. */
 uint64_t
 deviceRowAddr(const DramConfig &cfg, uint64_t segment_id)
@@ -254,7 +206,8 @@ deviceRowAddr(const DramConfig &cfg, uint64_t segment_id)
  * A cursor carries the request's local replay clock and keeps ONE
  * request-level transaction in flight (one read burst, one CODIC row
  * op), each stamped with the cursor's local clock and chained on its
- * own completion exactly like the serial replay. The controller
+ * own completion, so a cursor run alone (replayAlone) replays its
+ * footprint exactly as a blocking caller would. The controller
  * services its queue in arrival order (ties: submission order), so a
  * slice of cursors submitting against one DramSystem issues commands
  * in near-global-time order without any scheduler loop here: one
@@ -262,8 +215,8 @@ deviceRowAddr(const DramConfig &cfg, uint64_t segment_id)
  * data bus mostly idle, and the arrival-ordered queue fills those
  * gaps with bursts and row commands of the slice's other devices -
  * the bank-level parallelism a 64-entry FR-FCFS front-end extracts
- * from independent requests, and exactly what the serial
- * single-request replay leaves on the floor.
+ * from independent requests, and exactly what a one-request slice
+ * (replay_batch 1) leaves on the floor.
  */
 struct ReplayCursor
 {
@@ -360,6 +313,20 @@ struct ReplayCursor
     }
 };
 
+/**
+ * Replay one cursor's whole footprint on `sys` with nothing else in
+ * flight; returns the cursor's clock at its last completion.
+ */
+Cycle
+replayAlone(DramSystem &sys, ReplayCursor cur)
+{
+    while (!cur.done()) {
+        cur.submitNext(sys);
+        cur.harvest(sys);
+    }
+    return cur.now;
+}
+
 } // namespace
 
 FleetCostModel
@@ -383,8 +350,10 @@ buildFleetCostModel(const DramConfig &config, int filter_challenges,
     {
         DramSystem sys(config);
         const int rows = 16;
-        const Cycle done =
-            replayDeallocFootprint(sys, 0, 0, rows);
+        ReplayCursor dealloc;
+        dealloc.kind = ReplayCursor::Kind::Dealloc;
+        dealloc.rows_left = rows;
+        const Cycle done = replayAlone(sys, dealloc);
         m.rowop_ns = config.cyclesToNs(done) / rows;
         m.dealloc_row_energy_nj =
             campaignEnergyNj(sys.totalCounts(),
@@ -395,8 +364,11 @@ buildFleetCostModel(const DramConfig &config, int filter_challenges,
     // Full filtered-evaluation footprint energy.
     {
         DramSystem sys(config);
-        replayEvalFootprint(sys, 0, 0, m.eval_passes,
-                            m.bursts_per_pass);
+        ReplayCursor eval;
+        eval.kind = ReplayCursor::Kind::Eval;
+        eval.bursts = m.bursts_per_pass;
+        eval.passes_left = m.eval_passes;
+        replayAlone(sys, eval);
         m.auth_energy_nj = campaignEnergyNj(sys.totalCounts(),
                                             m.sig_eval_ns, energy);
     }
@@ -404,7 +376,10 @@ buildFleetCostModel(const DramConfig &config, int filter_challenges,
     // One harvest command (sigsa-class row command).
     {
         DramSystem sys(config);
-        replayTrngFootprint(sys, 0, 0, 1);
+        ReplayCursor trng;
+        trng.kind = ReplayCursor::Kind::Trng;
+        trng.rows_left = 1;
+        replayAlone(sys, trng);
         m.trng_cmd_energy_nj = campaignEnergyNj(sys.totalCounts(),
                                                 m.rowop_ns, energy);
     }

@@ -265,8 +265,11 @@ MmapEnrollmentStore::baseRecord(uint64_t slot) const
     const uint8_t *index = data_ + index_offset_;
     const uint64_t offset =
         loadLe<uint64_t>(index + slot * kIndexEntryBytes + 8);
+    // Compare by subtraction: an offset near 2^64 must not wrap past
+    // the check (the constructor guarantees index_offset_ leaves room
+    // for at least one fixed record part).
     if (offset < kHeaderBytes ||
-        offset + kRecordFixedBytes > index_offset_)
+        offset > index_offset_ - kRecordFixedBytes)
         fatal("mmap enrollment store: '", path_, "' index slot ",
               slot, " has out-of-range record offset ", offset);
     const uint8_t *p = data_ + offset;
@@ -277,7 +280,7 @@ MmapEnrollmentStore::baseRecord(uint64_t slot) const
     rec.cell_count = loadLe<uint32_t>(p + 20);
     const uint32_t blob_len = loadLe<uint32_t>(p + 24);
     if (rec.cell_count > blob_len ||
-        offset + kRecordFixedBytes + blob_len > index_offset_)
+        blob_len > index_offset_ - offset - kRecordFixedBytes)
         fatal("mmap enrollment store: '", path_,
               "' has a corrupt record at offset ", offset,
               " (cell count ", rec.cell_count, ", blob length ",

@@ -85,6 +85,8 @@ TraceReplaySource::step(const TraceRecord &record)
         break;
     }
     case TraceOpKind::RowOp: {
+        static_assert(kTraceRowOpMechanisms ==
+                      static_cast<uint8_t>(RowOpMechanism::LisaClone) + 1);
         ++report_.rowops;
         const Cycle done = mem_.completionOf(mem_.submit(
             MemTransaction::makeRowOp(

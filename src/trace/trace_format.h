@@ -82,6 +82,9 @@ enum class TraceOpKind : uint8_t
 
 constexpr uint8_t kTraceOpKinds = 6;
 
+/** RowOp records carry a RowOpMechanism value below this bound. */
+constexpr uint8_t kTraceRowOpMechanisms = 3;
+
 /** Display name of a TraceOpKind. */
 const char *traceOpKindName(TraceOpKind kind);
 

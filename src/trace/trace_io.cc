@@ -278,15 +278,17 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
     if (index_offset_ == 0)
         fatal("trace reader: '", path,
               "' was never finalized (recording aborted?)");
-    if (index_offset_ < header_bytes_ ||
-        index_offset_ + 8 > size_)
+    // Offsets and counts are untrusted: compare by subtraction and
+    // division so no sum or product can wrap past the mapping.
+    if (index_offset_ < header_bytes_ || index_offset_ > size_ - 8)
         fatal("trace reader: '", path,
               "' index offset is out of bounds (truncated file?)");
     const uint64_t epoch_count = getLe64(data_ + index_offset_);
     const uint64_t expected_epochs =
-        (record_count_ + meta_.epoch_stride - 1) / meta_.epoch_stride;
+        record_count_ / meta_.epoch_stride +
+        (record_count_ % meta_.epoch_stride != 0);
     if (epoch_count != expected_epochs ||
-        index_offset_ + 8 + epoch_count * kEpochEntryBytes > size_)
+        epoch_count > (size_ - index_offset_ - 8) / kEpochEntryBytes)
         fatal("trace reader: '", path,
               "' epoch index is truncated or corrupt");
     epochs_.reserve(epoch_count);
@@ -496,6 +498,10 @@ TraceCursor::next(TraceRecord &record)
                   "' record stream ends mid-record (truncated or "
                   "corrupt trace)");
         record.mech = reader_->data()[offset_++];
+        if (record.mech >= kTraceRowOpMechanisms)
+            fatal("trace reader: '", reader_->path_,
+                  "' contains an unknown row-op mechanism ",
+                  int(record.mech), " (corrupt trace)");
         record.reserved_row = zigzagDecode(getVarint());
     } else {
         record.mech = 0;

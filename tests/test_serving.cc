@@ -291,6 +291,33 @@ TEST(MmapEnrollmentStore, RejectsMissingTruncatedAndCorruptFiles)
     fs::remove(path);
 }
 
+TEST(MmapEnrollmentStore, RejectsARecordOffsetThatWraps)
+{
+    const std::string path =
+        writeTestStore("codic_test_mmap_wrapped_offset.bin");
+    {
+        // Slot 0's record offset (index entry bytes 8..16) -> 2^64 - 8:
+        // offset + the fixed record bytes wraps below the index, so a
+        // sum-based bound would read before the mapping.
+        std::fstream f(path, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        unsigned char le[8];
+        f.seekg(32);
+        f.read(reinterpret_cast<char *>(le), sizeof(le));
+        uint64_t index_offset = 0;
+        for (int i = 7; i >= 0; --i)
+            index_offset = index_offset << 8 | le[i];
+        f.seekp(static_cast<std::streamoff>(index_offset + 8));
+        f.put(static_cast<char>(0xf8));
+        for (int i = 1; i < 8; ++i)
+            f.put(static_cast<char>(0xff));
+        ASSERT_TRUE(f.good());
+    }
+    MmapEnrollmentStore mm(path);
+    EXPECT_THROW(mm.lookup(mm.deviceIds().front()), FatalError);
+    fs::remove(path);
+}
+
 TEST(MmapEnrollmentStore, SyntheticStoreIsDeterministic)
 {
     const std::string a = tempPath("codic_test_synth_a.bin");

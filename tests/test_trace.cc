@@ -55,6 +55,14 @@ writeFile(const std::string &path, const std::string &bytes)
     ASSERT_TRUE(out.good());
 }
 
+/** Overwrite `width` little-endian bytes of `bytes` at `pos`. */
+void
+patchLe(std::string &bytes, size_t pos, uint64_t value, int width = 8)
+{
+    for (int i = 0; i < width; ++i)
+        bytes[pos + i] = static_cast<char>(value >> (8 * i));
+}
+
 uint64_t
 splitmix64(uint64_t &state)
 {
@@ -192,6 +200,15 @@ class TraceRejection : public ::testing::Test
 
     void TearDown() override { std::remove(path_.c_str()); }
 
+    /** The header's index offset (u64 at byte 24). */
+    size_t indexOffset() const
+    {
+        uint64_t offset = 0;
+        for (int i = 7; i >= 0; --i)
+            offset = offset << 8 | static_cast<uint8_t>(bytes_[24 + i]);
+        return offset;
+    }
+
     std::string path_;
     std::string bytes_;
 };
@@ -243,6 +260,60 @@ TEST_F(TraceRejection, AbortedRecordingWithoutIndex)
         EXPECT_NE(std::string(e.what()).find("never finalized"),
                   std::string::npos);
     }
+}
+
+TEST_F(TraceRejection, IndexOffsetThatWrapsPastTheMapping)
+{
+    // index_offset + 8 wraps to 4, so a sum-based bound accepts it
+    // and the epoch-count read lands before the mapping.
+    std::string damaged = bytes_;
+    patchLe(damaged, 24, ~uint64_t{0} - 3);
+    writeFile(path_, damaged);
+    EXPECT_THROW(TraceReader{path_}, FatalError);
+}
+
+TEST_F(TraceRejection, EpochCountsThatWrap)
+{
+    const size_t index = indexOffset();
+    {
+        // Stride 1 with 768614336404564651 records and epochs: the
+        // index claims 24 * 768614336404564651 = 2^64 + 8 bytes,
+        // which wraps to 8, so a product-based bound accepts a count
+        // no vector can reserve.
+        const uint64_t count = 768614336404564651ull;
+        std::string damaged = bytes_;
+        patchLe(damaged, 16, count);    // Record count.
+        patchLe(damaged, 48, 1, 4);     // Epoch stride.
+        patchLe(damaged, index, count); // Epoch count.
+        writeFile(path_, damaged);
+        EXPECT_THROW(TraceReader{path_}, FatalError);
+    }
+    {
+        // 2^64 - 1 records at stride 64: a rounded-up division wraps
+        // to zero expected epochs, and an empty index under a nonzero
+        // record count leaves describe() nothing to read.
+        std::string damaged = bytes_;
+        patchLe(damaged, 16, ~uint64_t{0});
+        patchLe(damaged, index, 0);
+        writeFile(path_, damaged);
+        EXPECT_THROW(TraceReader{path_}, FatalError);
+    }
+}
+
+TEST_F(TraceRejection, UnknownRowOpMechanism)
+{
+    // A mechanism byte no RowOpMechanism has is a corrupt file, not
+    // a transaction for the controller to reject.
+    TraceRecord op;
+    op.kind = TraceOpKind::RowOp;
+    op.mech = kTraceRowOpMechanisms;
+    {
+        TraceWriter writer(path_, TraceMeta{});
+        writer.append(op);
+        writer.finish();
+    }
+    const TraceReader reader(path_);
+    EXPECT_THROW(decodeAll(reader), FatalError);
 }
 
 // --- Seeks ------------------------------------------------------------------
