@@ -92,17 +92,14 @@ struct RunOptions
      */
     double zipf = -1.0;
 
-    /**
-     * Enrollment-store file for fleet scenarios ("" = in-memory).
-     * A ".json" suffix selects the JSON format, else binary.
-     */
+    /** Enrollment-store file for fleet scenarios ("" = in-memory). */
     std::string store_path;
 
     /**
      * Serve the --store file through the mmap-backed read path
      * (store_mmap.h) instead of decoding it into heap: flat
-     * per-request memory at any store size. Requires a binary
-     * --store path (the JSON mirror has no record index).
+     * per-request memory at any store size. Requires a --store
+     * path.
      */
     bool store_mmap = false;
 
@@ -222,12 +219,6 @@ struct RunOptions
         if (store_mmap && store_path.empty())
             fatal("RunOptions: --store-mmap needs a --store file to "
                   "map");
-        if (store_mmap && store_path.size() >= 5 &&
-            store_path.compare(store_path.size() - 5, 5, ".json") ==
-                0)
-            fatal("RunOptions: --store-mmap needs the binary store "
-                  "format; the JSON mirror (", store_path,
-                  ") has no record index to map");
         // Negated comparison so NaN is rejected too; infinity would
         // make the Zipf sampler's rejection loop spin forever.
         if ((!(zipf >= 0.0) && zipf != -1.0) || std::isinf(zipf))

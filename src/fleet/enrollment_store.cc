@@ -1,88 +1,17 @@
 #include "fleet/enrollment_store.h"
 
 #include <algorithm>
-#include <cctype>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "common/logging.h"
+#include "common/mapped_file.h"
+#include "common/varint.h"
+#include "fleet/store_format.h"
 
 namespace codic {
 
 namespace {
-
-constexpr char kMagic[8] = {'C', 'O', 'D', 'I', 'C', 'E', 'N', 'R'};
-
-void
-putVarint(std::vector<uint8_t> &out, uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<uint8_t>(v));
-}
-
-uint64_t
-getVarint(const std::vector<uint8_t> &in, size_t &pos)
-{
-    uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-        if (pos >= in.size())
-            fatal("enrollment store: corrupt varint in record blob");
-        const uint8_t byte = in[pos++];
-        // The 10th byte holds only bit 63: anything wider (or an
-        // 11th byte) would silently drop bits, so reject it.
-        if (shift > 63 || (shift == 63 && (byte & 0x7f) > 1))
-            fatal("enrollment store: overlong varint in record "
-                  "blob");
-        v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-        if (!(byte & 0x80))
-            return v;
-        shift += 7;
-    }
-}
-
-template <typename T>
-void
-putLe(std::ostream &out, T v)
-{
-    uint8_t bytes[sizeof(T)];
-    for (size_t i = 0; i < sizeof(T); ++i)
-        bytes[i] = static_cast<uint8_t>(v >> (8 * i));
-    out.write(reinterpret_cast<const char *>(bytes), sizeof(T));
-}
-
-template <typename T>
-T
-getLe(std::istream &in)
-{
-    uint8_t bytes[sizeof(T)];
-    in.read(reinterpret_cast<char *>(bytes), sizeof(T));
-    if (!in)
-        fatal("enrollment store: truncated binary stream");
-    T v = 0;
-    for (size_t i = 0; i < sizeof(T); ++i)
-        v |= static_cast<T>(bytes[i]) << (8 * i);
-    return v;
-}
-
-std::vector<uint8_t>
-encodeCells(const std::vector<uint32_t> &cells)
-{
-    std::vector<uint8_t> blob;
-    blob.reserve(cells.size() * 2);
-    uint32_t prev = 0;
-    for (uint32_t c : cells) {
-        // Responses are sorted and deduplicated, so deltas fit in
-        // one or two varint bytes for typical signature densities.
-        putVarint(blob, c - prev);
-        prev = c;
-    }
-    return blob;
-}
 
 /** Sorted record views for deterministic serialization. */
 std::vector<const EnrollmentRecord *>
@@ -103,17 +32,14 @@ sortedRecords(const std::unordered_map<uint64_t, EnrollmentRecord> &map)
 
 EnrollmentStore::EnrollmentStore(uint64_t population_seed,
                                  size_t cache_capacity)
-    : population_seed_(population_seed),
-      cache_capacity_(std::max<size_t>(1, cache_capacity)),
-      index_(cache_capacity_)
+    : population_seed_(population_seed), cache_(cache_capacity)
 {
 }
 
 EnrollmentStore::EnrollmentStore(EnrollmentStore &&other) noexcept
     : population_seed_(other.population_seed_),
-      cache_capacity_(other.cache_capacity_),
       records_(std::move(other.records_)),
-      index_(other.cache_capacity_)
+      cache_(other.cache_.capacity())
 {
 }
 
@@ -121,12 +47,8 @@ EnrollmentStore &
 EnrollmentStore::operator=(EnrollmentStore &&other) noexcept
 {
     population_seed_ = other.population_seed_;
-    cache_capacity_ = other.cache_capacity_;
     records_ = std::move(other.records_);
-    index_ = LruIndex(cache_capacity_);
-    cache_.clear();
-    hits_ = 0;
-    misses_ = 0;
+    cache_ = DecodeCache(other.cache_.capacity());
     return *this;
 }
 
@@ -139,7 +61,14 @@ EnrollmentStore::encode(uint64_t device_id, const Challenge &challenge,
     rec.segment_id = challenge.segment_id;
     rec.segment_bits = static_cast<uint32_t>(challenge.segment_bits);
     rec.cell_count = static_cast<uint32_t>(signature.cells.size());
-    rec.blob = encodeCells(signature.cells);
+    rec.blob.reserve(signature.cells.size() * 2);
+    uint32_t prev = 0;
+    for (uint32_t c : signature.cells) {
+        // Responses are sorted and deduplicated, so deltas fit in
+        // one or two varint bytes for typical signature densities.
+        putVarint(rec.blob, c - prev);
+        prev = c;
+    }
     return rec;
 }
 
@@ -153,8 +82,7 @@ EnrollmentStore::put(uint64_t device_id, const Challenge &challenge,
     records_[device_id] = std::move(rec);
     // A re-enrollment invalidates any cached decode of the old
     // signature.
-    if (index_.erase(device_id))
-        cache_.erase(device_id);
+    cache_.invalidate(device_id);
 }
 
 bool
@@ -192,10 +120,12 @@ EnrollmentStore::decode(const EnrollmentRecord &record)
               " exceeds blob size ", record.blob.size(), ")");
     Response r;
     r.cells.reserve(record.cell_count);
-    size_t pos = 0;
+    uint64_t pos = 0;
     uint32_t value = 0;
     for (uint32_t i = 0; i < record.cell_count; ++i) {
-        value += static_cast<uint32_t>(getVarint(record.blob, pos));
+        value += static_cast<uint32_t>(
+            getVarint(record.blob.data(), pos, record.blob.size(),
+                      "enrollment store: record blob"));
         r.cells.push_back(value);
     }
     if (pos != record.blob.size())
@@ -208,22 +138,12 @@ std::shared_ptr<const Response>
 EnrollmentStore::lookup(uint64_t device_id) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto hit = cache_.find(device_id);
-    if (hit != cache_.end()) {
-        ++hits_;
-        index_.touch(device_id);
-        return hit->second;
-    }
-    auto it = records_.find(device_id);
-    if (it == records_.end())
-        return nullptr;
-    ++misses_;
-    auto decoded = std::make_shared<const Response>(decode(it->second));
-    index_.touch(device_id);
-    cache_[device_id] = decoded;
-    while (const auto victim = index_.evictIfOver())
-        cache_.erase(*victim);
-    return decoded;
+    return cache_.get(device_id, [&]() -> std::optional<Response> {
+        auto it = records_.find(device_id);
+        if (it == records_.end())
+            return std::nullopt;
+        return decode(it->second);
+    });
 }
 
 std::vector<uint64_t>
@@ -238,59 +158,24 @@ EnrollmentStore::deviceIds() const
     return ids;
 }
 
-// --- Binary format -----------------------------------------------------------
-//
-// Layout (little-endian):
-//   char[8]  magic "CODICENR"
-//   u32      format version
-//   u32      reserved flags (0)
-//   u64      population seed
-//   u64      record count
-//   u64      index offset             (v2+; v1 headers stop above)
-//   records, sorted by device id:
-//     u64 device_id, u64 segment_id, u32 segment_bits,
-//     u32 cell_count, u32 blob_len, u8[blob_len] blob
-//   index (v2+), at the index offset, sorted by device id:
-//     record count x (u64 device_id, u64 record offset)
-//
-// The index makes the file directly servable: the mmap read path
-// (store_mmap.cc) binary-searches it in place, so a lookup touches
-// O(log n) index pages plus the record's own bytes and never decodes
-// the store into heap.
+// --- Store file (store_format.h) ---------------------------------------------
 
 void
 EnrollmentStore::saveBinary(std::ostream &out) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto sorted = sortedRecords(records_);
-    const uint64_t header_bytes = sizeof(kMagic) + 4 + 4 + 8 + 8 + 8;
-    uint64_t index_offset = header_bytes;
+    uint64_t index_offset = kStoreHeaderBytes;
     for (const EnrollmentRecord *rec : sorted)
-        index_offset += 8 + 8 + 4 + 4 + 4 + rec->blob.size();
+        index_offset += storeRecordBytes(*rec);
 
-    out.write(kMagic, sizeof(kMagic));
-    putLe<uint32_t>(out, kFormatVersion);
-    putLe<uint32_t>(out, 0);
-    putLe<uint64_t>(out, population_seed_);
-    putLe<uint64_t>(out, records_.size());
-    putLe<uint64_t>(out, index_offset);
-    uint64_t offset = header_bytes;
-    std::vector<uint64_t> offsets;
-    offsets.reserve(sorted.size());
+    writeStoreHeader(out, population_seed_, sorted.size(), index_offset);
+    for (const EnrollmentRecord *rec : sorted)
+        writeStoreRecord(out, *rec);
+    uint64_t offset = kStoreHeaderBytes;
     for (const EnrollmentRecord *rec : sorted) {
-        offsets.push_back(offset);
-        putLe<uint64_t>(out, rec->device_id);
-        putLe<uint64_t>(out, rec->segment_id);
-        putLe<uint32_t>(out, rec->segment_bits);
-        putLe<uint32_t>(out, rec->cell_count);
-        putLe<uint32_t>(out, static_cast<uint32_t>(rec->blob.size()));
-        out.write(reinterpret_cast<const char *>(rec->blob.data()),
-                  static_cast<std::streamsize>(rec->blob.size()));
-        offset += 8 + 8 + 4 + 4 + 4 + rec->blob.size();
-    }
-    for (size_t i = 0; i < sorted.size(); ++i) {
-        putLe<uint64_t>(out, sorted[i]->device_id);
-        putLe<uint64_t>(out, offsets[i]);
+        writeStoreIndexEntry(out, rec->device_id, offset);
+        offset += storeRecordBytes(*rec);
     }
     if (!out)
         fatal("enrollment store: write failed");
@@ -300,333 +185,47 @@ size_t
 EnrollmentStore::binarySizeBytes() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    size_t bytes = sizeof(kMagic) + 4 + 4 + 8 + 8 + 8;
+    size_t bytes = kStoreHeaderBytes;
     for (const auto &[id, rec] : records_)
-        bytes += 8 + 8 + 4 + 4 + 4 + rec.blob.size() + 16;
+        bytes += storeRecordBytes(rec) + kStoreIndexEntryBytes;
     return bytes;
 }
 
 EnrollmentStore
-EnrollmentStore::loadBinary(std::istream &in, size_t cache_capacity)
+EnrollmentStore::parse(std::string_view bytes, std::string what,
+                       size_t cache_capacity)
 {
-    char magic[sizeof(kMagic)];
-    in.read(magic, sizeof(magic));
-    if (!in || !std::equal(magic, magic + sizeof(magic), kMagic))
-        fatal("enrollment store: bad magic (not a CODIC enrollment "
-              "store)");
-    const uint32_t version = getLe<uint32_t>(in);
-    if (version < 1 || version > kFormatVersion)
-        fatal("enrollment store: format version mismatch (file v",
-              version, ", supported v1..v", kFormatVersion, ")");
-    getLe<uint32_t>(in); // reserved flags
-    const uint64_t seed = getLe<uint64_t>(in);
-    const uint64_t count = getLe<uint64_t>(in);
-    const uint64_t index_offset =
-        version >= 2 ? getLe<uint64_t>(in) : 0;
-    const uint64_t header_bytes =
-        sizeof(kMagic) + 4 + 4 + 8 + 8 + (version >= 2 ? 8 : 0);
-
-    // Seek-to-end size check before touching any record: a short
-    // file fails here with the byte counts, not mid-record with a
-    // generic stream error. Unseekable streams skip the pre-check
-    // and keep the per-record guards below.
-    uint64_t file_bytes = 0;
-    bool seekable = false;
-    {
-        const std::istream::pos_type here = in.tellg();
-        if (here != std::istream::pos_type(-1)) {
-            in.seekg(0, std::ios::end);
-            const std::istream::pos_type end = in.tellg();
-            if (end != std::istream::pos_type(-1)) {
-                seekable = true;
-                file_bytes = static_cast<uint64_t>(end);
-            }
-            in.seekg(here);
-        }
-    }
-    // Record bytes end where the index starts (v2) or at EOF (v1).
-    constexpr uint64_t kRecordFixedBytes = 8 + 8 + 4 + 4 + 4;
-    if (seekable) {
-        const uint64_t min_bytes =
-            header_bytes + count * kRecordFixedBytes +
-            (version >= 2 ? count * 16 : 0);
-        if (file_bytes < min_bytes)
-            fatal("enrollment store: truncated file (", file_bytes,
-                  " bytes, but ", count, " records need at least ",
-                  min_bytes, ")");
-        if (version >= 2 &&
-            (index_offset < header_bytes + count * kRecordFixedBytes ||
-             index_offset + count * 16 != file_bytes))
-            fatal("enrollment store: corrupt index offset ",
-                  index_offset, " (file is ", file_bytes,
-                  " bytes, ", count, " records)");
-    }
-
-    EnrollmentStore store(seed, cache_capacity);
-    uint64_t offset = header_bytes;
-    const uint64_t records_end =
-        version >= 2 ? index_offset
-                     : (seekable ? file_bytes : UINT64_MAX);
-    for (uint64_t i = 0; i < count; ++i) {
-        EnrollmentRecord rec;
-        rec.device_id = getLe<uint64_t>(in);
-        rec.segment_id = getLe<uint64_t>(in);
-        rec.segment_bits = getLe<uint32_t>(in);
-        rec.cell_count = getLe<uint32_t>(in);
-        const uint32_t blob_len = getLe<uint32_t>(in);
-        // Sanity-check untrusted sizes before allocating: each cell
-        // costs at least one blob byte, and a signature blob is
-        // bounded by ~5 bytes per cell of an 8 KB segment (a few
-        // hundred KB) - 16 MB is far beyond any legal record.
-        if (rec.cell_count > blob_len || blob_len > (16u << 20))
-            fatal("enrollment store: corrupt record ", i,
-                  " (cell count ", rec.cell_count, ", blob length ",
-                  blob_len, ")");
-        offset += kRecordFixedBytes;
-        if (offset + blob_len > records_end)
-            fatal("enrollment store: truncated record ", i,
-                  " (record bytes end at ", records_end,
-                  ", record needs ", offset + blob_len, ")");
-        rec.blob.resize(blob_len);
-        in.read(reinterpret_cast<char *>(rec.blob.data()), blob_len);
-        if (!in)
-            fatal("enrollment store: truncated record ", i);
-        offset += blob_len;
+    const StoreFileView view(
+        reinterpret_cast<const uint8_t *>(bytes.data()), bytes.size(),
+        std::move(what));
+    EnrollmentStore store(view.populationSeed(), cache_capacity);
+    // Records must follow one another in index order: entry i names
+    // record i's offset (and record() checks its id), so the heap
+    // and mmap paths can never resolve a device to different bytes.
+    uint64_t offset = kStoreHeaderBytes;
+    for (uint64_t slot = 0; slot < view.records(); ++slot) {
+        if (view.offsetAt(slot) != offset)
+            fatal(view.what(), " index entry ", slot,
+                  " points at offset ", view.offsetAt(slot),
+                  " but record ", slot, " starts at ", offset);
+        if (slot > 0 && view.idAt(slot) <= view.idAt(slot - 1))
+            fatal(view.what(), " index entry ", slot,
+                  " is not sorted by device id");
+        EnrollmentRecord rec = view.record(slot);
+        offset += storeRecordBytes(rec);
         store.records_[rec.device_id] = std::move(rec);
     }
-    if (version >= 2) {
-        if (offset != index_offset)
-            fatal("enrollment store: index offset ", index_offset,
-                  " does not follow the records (which end at ",
-                  offset, ")");
-        // Validate the index against the records just read: sorted,
-        // in-range offsets, every id enrolled.
-        uint64_t prev_id = 0;
-        for (uint64_t i = 0; i < count; ++i) {
-            const uint64_t id = getLe<uint64_t>(in);
-            const uint64_t rec_offset = getLe<uint64_t>(in);
-            if (i > 0 && id <= prev_id)
-                fatal("enrollment store: index entry ", i,
-                      " is not sorted by device id");
-            prev_id = id;
-            if (store.records_.count(id) == 0)
-                fatal("enrollment store: index entry ", i,
-                      " names unknown device ", id);
-            if (rec_offset < header_bytes ||
-                rec_offset >= index_offset)
-                fatal("enrollment store: index entry ", i,
-                      " has out-of-range record offset ", rec_offset);
-        }
-    }
-    // The format is end-exact: bytes after the declared record
-    // count mean corruption (or concatenated files), not padding.
-    if (in.peek() != std::char_traits<char>::eof())
-        fatal("enrollment store: trailing bytes after ", count,
-              " records");
+    if (offset != view.indexOffset())
+        fatal(view.what(), " records end at ", offset,
+              " but the index starts at ", view.indexOffset());
     return store;
 }
-
-// --- JSON format -------------------------------------------------------------
-
-void
-EnrollmentStore::saveJson(std::ostream &out) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    out << "{\"format\":\"codic-enrollment\",\"version\":"
-        << kFormatVersion
-        << ",\"population_seed\":" << population_seed_
-        << ",\"records\":[";
-    bool first = true;
-    for (const EnrollmentRecord *rec : sortedRecords(records_)) {
-        out << (first ? "\n" : ",\n");
-        first = false;
-        out << " {\"device\":" << rec->device_id
-            << ",\"segment\":" << rec->segment_id
-            << ",\"segment_bits\":" << rec->segment_bits
-            << ",\"cells\":[";
-        const Response r = decode(*rec);
-        for (size_t i = 0; i < r.cells.size(); ++i)
-            out << (i ? "," : "") << r.cells[i];
-        out << "]}";
-    }
-    out << "]}\n";
-    if (!out)
-        fatal("enrollment store: write failed");
-}
-
-namespace {
-
-/**
- * Minimal parser for the store's own JSON output (and
- * whitespace-insensitive variants of it). Not a general JSON parser;
- * anything outside the expected shape fails loudly.
- */
-class JsonCursor
-{
-  public:
-    explicit JsonCursor(std::string text) : text_(std::move(text)) {}
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    void
-    expect(char c)
-    {
-        if (!consume(c))
-            fatal("enrollment store: JSON parse error, expected '", c,
-                  "' at offset ", pos_);
-    }
-
-    std::string
-    string()
-    {
-        expect('"');
-        std::string s;
-        while (pos_ < text_.size() && text_[pos_] != '"')
-            s.push_back(text_[pos_++]);
-        expect('"');
-        return s;
-    }
-
-    uint64_t
-    number()
-    {
-        skipSpace();
-        const size_t start = pos_;
-        while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-        if (pos_ == start)
-            fatal("enrollment store: JSON parse error, expected a "
-                  "number at offset ", pos_);
-        try {
-            return std::stoull(text_.substr(start, pos_ - start));
-        } catch (const std::out_of_range &) {
-            fatal("enrollment store: JSON number out of range at "
-                  "offset ", start);
-        }
-    }
-
-  private:
-    std::string text_;
-    size_t pos_ = 0;
-};
-
-} // namespace
 
 EnrollmentStore
-EnrollmentStore::loadJson(std::istream &in, size_t cache_capacity)
+EnrollmentStore::loadBinary(std::string_view bytes, size_t cache_capacity)
 {
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    JsonCursor cur(buf.str());
-
-    uint64_t version = 0;
-    uint64_t seed = 0;
-    bool format_seen = false;
-    std::vector<EnrollmentRecord> records;
-
-    cur.expect('{');
-    do {
-        const std::string key = cur.string();
-        cur.expect(':');
-        if (key == "format") {
-            if (cur.string() != "codic-enrollment")
-                fatal("enrollment store: JSON format field mismatch");
-            format_seen = true;
-        } else if (key == "version") {
-            version = cur.number();
-        } else if (key == "population_seed") {
-            seed = cur.number();
-        } else if (key == "records") {
-            cur.expect('[');
-            if (!cur.consume(']')) {
-                do {
-                    EnrollmentRecord rec;
-                    std::vector<uint32_t> cells;
-                    cur.expect('{');
-                    do {
-                        const std::string field = cur.string();
-                        cur.expect(':');
-                        if (field == "device") {
-                            rec.device_id = cur.number();
-                        } else if (field == "segment") {
-                            rec.segment_id = cur.number();
-                        } else if (field == "segment_bits") {
-                            rec.segment_bits =
-                                static_cast<uint32_t>(cur.number());
-                        } else if (field == "cells") {
-                            cur.expect('[');
-                            if (!cur.consume(']')) {
-                                do {
-                                    cells.push_back(static_cast<uint32_t>(
-                                        cur.number()));
-                                } while (cur.consume(','));
-                                cur.expect(']');
-                            }
-                        } else {
-                            fatal("enrollment store: unknown JSON "
-                                  "record field '", field, "'");
-                        }
-                    } while (cur.consume(','));
-                    cur.expect('}');
-                    rec.cell_count =
-                        static_cast<uint32_t>(cells.size());
-                    rec.blob = encodeCells(cells);
-                    records.push_back(std::move(rec));
-                } while (cur.consume(','));
-                cur.expect(']');
-            }
-        } else {
-            fatal("enrollment store: unknown JSON field '", key, "'");
-        }
-    } while (cur.consume(','));
-    cur.expect('}');
-
-    if (!format_seen)
-        fatal("enrollment store: JSON missing format field");
-    // The JSON layout is unchanged since v1; the version bump to v2
-    // only added the binary record index.
-    if (version < 1 || version > kFormatVersion)
-        fatal("enrollment store: format version mismatch (file v",
-              version, ", supported v1..v", kFormatVersion, ")");
-
-    EnrollmentStore store(seed, cache_capacity);
-    for (auto &rec : records) {
-        const uint64_t id = rec.device_id;
-        store.records_[id] = std::move(rec);
-    }
-    return store;
+    return parse(bytes, "enrollment store", cache_capacity);
 }
-
-// --- Path helpers ------------------------------------------------------------
-
-namespace {
-
-bool
-isJsonPath(const std::string &path)
-{
-    return path.size() >= 5 &&
-           path.compare(path.size() - 5, 5, ".json") == 0;
-}
-
-} // namespace
 
 void
 EnrollmentStore::saveFile(const std::string &path) const
@@ -635,21 +234,17 @@ EnrollmentStore::saveFile(const std::string &path) const
     if (!out)
         fatal("enrollment store: cannot open '", path,
               "' for writing");
-    if (isJsonPath(path))
-        saveJson(out);
-    else
-        saveBinary(out);
+    saveBinary(out);
 }
 
 EnrollmentStore
 EnrollmentStore::loadFile(const std::string &path, size_t cache_capacity)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fatal("enrollment store: cannot open '", path,
-              "' for reading");
-    return isJsonPath(path) ? loadJson(in, cache_capacity)
-                            : loadBinary(in, cache_capacity);
+    const MappedFile file(path, MappedFile::Access::Sequential,
+                          "enrollment store");
+    return parse({reinterpret_cast<const char *>(file.data()),
+                  file.size()},
+                 "enrollment store '" + path + "'", cache_capacity);
 }
 
 } // namespace codic

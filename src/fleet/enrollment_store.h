@@ -8,20 +8,16 @@
  * costs a few bytes per signature cell and a lookup of a hot device
  * never re-decodes.
  *
- * Two serializations share one versioned header model:
- *  - binary (magic "CODICENR" + format version): the compact wire
- *    format, written with records sorted by device id so a store
- *    built by a parallel enrollment campaign serializes
- *    byte-identically at any shard/thread count. Format v2 appends
- *    a sorted (device id, record offset) index after the records,
- *    which the mmap read path (store_mmap.h) binary-searches to
- *    serve lookups without decoding the store into heap;
- *  - JSON: interoperable mirror of the same fields (no index - the
- *    JSON mirror exists for interop, not for serving).
- * Loading either format rejects a bad magic, an unsupported format
- * version, or a truncated file with a clear FatalError instead of
- * misparsing - enrollment written by one run can be trusted by a
- * later run.
+ * The store persists in one binary format (store_format.h): records
+ * sorted by device id, so a store built by a parallel enrollment
+ * campaign serializes byte-identically at any shard/thread count,
+ * followed by a sorted (device id, record offset) index that the
+ * mmap read path (store_mmap.h) binary-searches to serve lookups
+ * without decoding the store into heap. Both read paths parse the
+ * file with the same StoreFileView, which rejects a bad magic, an
+ * unsupported format version, a truncated file or an inconsistent
+ * record or index with a clear FatalError instead of misparsing -
+ * enrollment written by one run can be trusted by a later run.
  */
 
 #ifndef CODIC_FLEET_ENROLLMENT_STORE_H
@@ -34,6 +30,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -86,6 +83,8 @@ class LruIndex
         return victim;
     }
 
+    size_t capacity() const { return capacity_; }
+
     /** Is the id indexed? Pure peek: recency is not updated. */
     bool
     contains(uint64_t id) const
@@ -109,6 +108,64 @@ class LruIndex
     size_t capacity_;
     std::list<uint64_t> lru_;
     std::unordered_map<uint64_t, std::list<uint64_t>::iterator> pos_;
+};
+
+/**
+ * The bounded LRU cache of decoded signatures that both store
+ * implementations serve lookups through. Not thread-safe; the owning
+ * store holds its lock around every call.
+ */
+class DecodeCache
+{
+  public:
+    explicit DecodeCache(size_t capacity) : index_(capacity) {}
+
+    size_t capacity() const { return index_.capacity(); }
+    uint64_t hits() const { return hits_; }
+    uint64_t misses() const { return misses_; }
+
+    /**
+     * The cached decode of `device_id`; on a miss, the signature
+     * `decode()` returns (std::optional<Response>, empty for an
+     * unknown device), cached. nullptr when the device is unknown.
+     */
+    template <typename Decode>
+    std::shared_ptr<const Response>
+    get(uint64_t device_id, Decode decode)
+    {
+        auto hit = cache_.find(device_id);
+        if (hit != cache_.end()) {
+            ++hits_;
+            index_.touch(device_id);
+            return hit->second;
+        }
+        std::optional<Response> decoded = decode();
+        if (!decoded)
+            return nullptr;
+        ++misses_;
+        auto shared =
+            std::make_shared<const Response>(std::move(*decoded));
+        index_.touch(device_id);
+        cache_[device_id] = shared;
+        while (const auto victim = index_.evictIfOver())
+            cache_.erase(*victim);
+        return shared;
+    }
+
+    /** Drop a device's cached decode (its signature changed). */
+    void
+    invalidate(uint64_t device_id)
+    {
+        if (index_.erase(device_id))
+            cache_.erase(device_id);
+    }
+
+  private:
+    LruIndex index_;
+    std::unordered_map<uint64_t, std::shared_ptr<const Response>>
+        cache_;
+    uint64_t hits_ = 0;
+    uint64_t misses_ = 0;
 };
 
 /** One enrolled device's golden signature (encoded at rest). */
@@ -167,13 +224,6 @@ class EnrollmentBackend
 class EnrollmentStore : public EnrollmentBackend
 {
   public:
-    /**
-     * Current on-disk format version (binary and JSON). v2 added
-     * the sorted record index after the binary records; v1 files
-     * (no index) still load.
-     */
-    static constexpr uint32_t kFormatVersion = 2;
-
     /** @param cache_capacity Decoded signatures kept hot (>= 1). */
     explicit EnrollmentStore(uint64_t population_seed = 0,
                              size_t cache_capacity = 4096);
@@ -228,39 +278,35 @@ class EnrollmentStore : public EnrollmentBackend
     std::vector<uint64_t> deviceIds() const;
 
     /** Decode-cache capacity (what AuthService's LRU plan models). */
-    size_t cacheCapacity() const override { return cache_capacity_; }
+    size_t cacheCapacity() const override { return cache_.capacity(); }
 
     /** Decode-cache telemetry (scheduling-dependent; timings only). */
-    uint64_t cacheHits() const override { return hits_; }
-    uint64_t cacheMisses() const override { return misses_; }
+    uint64_t cacheHits() const override { return cache_.hits(); }
+    uint64_t cacheMisses() const override { return cache_.misses(); }
 
-    // --- Serialization ---
+    // --- Serialization (store_format.h) ---
 
-    /** Write the binary format (records sorted by device id). */
+    /** Write the store file (records sorted by device id). */
     void saveBinary(std::ostream &out) const;
-
-    /** Write the JSON mirror (same order as saveBinary). */
-    void saveJson(std::ostream &out) const;
 
     /** Binary size without writing (campaign reporting). */
     size_t binarySizeBytes() const;
 
     /**
-     * Read either format back. The decode-cache capacity is a
+     * Parse a store file image. The decode-cache capacity is a
      * runtime tuning knob, not part of the stored data - pass the
      * capacity the serving process wants (files carry records
      * only). @throws FatalError on a bad magic, a format-version
-     * mismatch, or a truncated/corrupt stream.
+     * mismatch, a truncated file, or a record or index entry that
+     * disagrees with the layout (records in index order, each index
+     * entry naming its record's id and offset).
      */
-    static EnrollmentStore loadBinary(std::istream &in,
+    static EnrollmentStore loadBinary(std::string_view bytes,
                                       size_t cache_capacity = 4096);
-    static EnrollmentStore loadJson(std::istream &in,
-                                    size_t cache_capacity = 4096);
 
     /**
-     * Path helpers: a ".json" suffix selects the JSON format,
-     * anything else the binary format. @throws FatalError when the
-     * file cannot be opened or fails to parse.
+     * Path helpers over saveBinary/loadBinary. @throws FatalError
+     * when the file cannot be opened or fails to parse.
      */
     void saveFile(const std::string &path) const;
     static EnrollmentStore loadFile(const std::string &path,
@@ -275,18 +321,15 @@ class EnrollmentStore : public EnrollmentBackend
                                    const Response &signature);
 
   private:
+    static EnrollmentStore parse(std::string_view bytes,
+                                 std::string what,
+                                 size_t cache_capacity);
+
     uint64_t population_seed_;
-    size_t cache_capacity_;
     std::unordered_map<uint64_t, EnrollmentRecord> records_;
 
-    // LRU decode cache: recency/eviction via the shared LruIndex.
     mutable std::mutex mutex_;
-    mutable LruIndex index_;
-    mutable std::unordered_map<uint64_t,
-                               std::shared_ptr<const Response>>
-        cache_;
-    mutable uint64_t hits_ = 0;
-    mutable uint64_t misses_ = 0;
+    mutable DecodeCache cache_;
 };
 
 } // namespace codic

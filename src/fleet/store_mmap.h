@@ -5,11 +5,11 @@
  * A production fleet store holds 10^7+ golden signatures; decoding
  * it into heap (EnrollmentStore::loadBinary) costs gigabytes and
  * minutes before the first request is served. MmapEnrollmentStore
- * instead maps the v2 binary format read-only (the same open/
- * validate idiom as the trace reader, src/trace/trace_io.*) and
- * serves lookups directly from the file: a binary search over the
- * sorted on-disk record index touches O(log n) pages, the record's
- * blob is decoded on demand through the same bounded LruIndex cache
+ * instead maps the store file read-only (common/mapped_file.h, as
+ * the trace reader does) and serves lookups directly from it through
+ * the same StoreFileView parser the heap load uses: a binary search
+ * over the sorted on-disk record index touches O(log n) pages, the
+ * record's blob is decoded on demand through the same DecodeCache
  * the in-memory store uses, and per-request memory stays flat no
  * matter how many devices the file holds - only the touched working
  * set is ever resident.
@@ -38,12 +38,14 @@
 #include <string>
 #include <vector>
 
+#include "common/mapped_file.h"
 #include "fleet/enrollment_store.h"
+#include "fleet/store_format.h"
 
 namespace codic {
 
 /**
- * Streaming writer of the v2 binary store format. Append records in
+ * Streaming writer of the store format. Append records in
  * strictly ascending device-id order, then finish(); the index
  * footer is staged in a side file and spliced on, so writer memory
  * stays flat at any record count. @throws FatalError on unsorted
@@ -80,6 +82,7 @@ class EnrollmentStoreWriter
     std::string index_path_;
     std::ofstream out_;
     std::ofstream index_out_;
+    uint64_t population_seed_;
     uint64_t count_ = 0;
     uint64_t offset_ = 0;   //!< Next record's file offset.
     uint64_t last_id_ = 0;  //!< Highest id appended (count_ > 0).
@@ -87,17 +90,17 @@ class EnrollmentStoreWriter
 };
 
 /**
- * Read-mostly enrollment backend over an mmap'd v2 store file plus
- * an in-memory write overlay. Thread-safe like EnrollmentStore; the
+ * Read-mostly enrollment backend over an mmap'd store file plus an
+ * in-memory write overlay. Thread-safe like EnrollmentStore; the
  * mapped file is never modified. @throws FatalError when the file
- * is missing, v1 (re-save to add the index), truncated, or corrupt.
+ * is missing or its header is corrupt, and from lookups whose
+ * record is corrupt.
  */
 class MmapEnrollmentStore : public EnrollmentBackend
 {
   public:
     explicit MmapEnrollmentStore(const std::string &path,
                                  size_t cache_capacity = 4096);
-    ~MmapEnrollmentStore() override;
 
     MmapEnrollmentStore(const MmapEnrollmentStore &) = delete;
     MmapEnrollmentStore &
@@ -107,7 +110,7 @@ class MmapEnrollmentStore : public EnrollmentBackend
 
     uint64_t populationSeed() const override
     {
-        return population_seed_;
+        return view_.populationSeed();
     }
 
     /** Base records plus overlay entries for new devices. */
@@ -122,16 +125,16 @@ class MmapEnrollmentStore : public EnrollmentBackend
     std::shared_ptr<const Response>
     lookup(uint64_t device_id) const override;
 
-    size_t cacheCapacity() const override { return cache_capacity_; }
-    uint64_t cacheHits() const override { return hits_; }
-    uint64_t cacheMisses() const override { return misses_; }
+    size_t cacheCapacity() const override { return cache_.capacity(); }
+    uint64_t cacheHits() const override { return cache_.hits(); }
+    uint64_t cacheMisses() const override { return cache_.misses(); }
 
     // --- Serving telemetry ---
 
     const std::string &path() const { return path_; }
 
     /** Records in the mapped base file. */
-    uint64_t baseRecords() const { return count_; }
+    uint64_t baseRecords() const { return view_.records(); }
 
     /** Overlay entries (new devices + re-enrollments). */
     size_t overlayRecords() const;
@@ -140,7 +143,7 @@ class MmapEnrollmentStore : public EnrollmentBackend
     uint64_t supersededRecords() const;
 
     /** Mapped file size in bytes. */
-    uint64_t mappedBytes() const { return size_; }
+    uint64_t mappedBytes() const { return file_.size(); }
 
     /**
      * Merged device ids, ascending. O(n) and materializes the full
@@ -167,31 +170,20 @@ class MmapEnrollmentStore : public EnrollmentBackend
     CompactStats compactTo(const std::string &path) const;
 
   private:
-    /** Parse the base record at a validated index slot. */
-    EnrollmentRecord baseRecord(uint64_t slot) const;
-
-    /** Index slot of a device id, or count_ when absent. */
-    uint64_t findSlot(uint64_t device_id) const;
+    /** Is the device in the mapped base file? */
+    bool inBase(uint64_t device_id) const
+    {
+        return view_.findSlot(device_id) != view_.records();
+    }
 
     std::string path_;
-    int fd_ = -1;
-    const uint8_t *data_ = nullptr;
-    uint64_t size_ = 0;
-    uint64_t population_seed_ = 0;
-    uint64_t count_ = 0;        //!< Base records.
-    uint64_t index_offset_ = 0; //!< Index footer position.
-
-    size_t cache_capacity_;
+    MappedFile file_;
+    StoreFileView view_; //!< Parses file_'s bytes.
 
     mutable std::mutex mutex_;
     std::unordered_map<uint64_t, EnrollmentRecord> overlay_;
     uint64_t overlay_new_ = 0; //!< Overlay ids absent from the base.
-    mutable LruIndex index_;
-    mutable std::unordered_map<uint64_t,
-                               std::shared_ptr<const Response>>
-        cache_;
-    mutable uint64_t hits_ = 0;
-    mutable uint64_t misses_ = 0;
+    mutable DecodeCache cache_;
 };
 
 /**

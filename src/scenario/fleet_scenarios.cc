@@ -522,8 +522,8 @@ runFleetScaling(RunContext &ctx)
     for (int shards : sweep) {
         FleetConfig fc = proto_config;
         fc.shards = shards;
-        std::istringstream bytes(store_snapshot);
-        EnrollmentStore store = EnrollmentStore::loadBinary(bytes);
+        EnrollmentStore store =
+            EnrollmentStore::loadBinary(store_snapshot);
         const std::vector<uint64_t> targets = store.deviceIds();
         DeviceFleet fleet(fc);
         AuthService service(fleet, store, authConfigFor(ctx));
@@ -883,8 +883,8 @@ runAblationQos(RunContext &ctx)
     for (const Variant &v : variants) {
         FleetConfig fc = proto_config;
         fc.dram.scheduler = SchedulerPolicy::parse(v.spec);
-        std::istringstream bytes(store_snapshot);
-        EnrollmentStore store = EnrollmentStore::loadBinary(bytes);
+        EnrollmentStore store =
+            EnrollmentStore::loadBinary(store_snapshot);
         const std::vector<uint64_t> targets = store.deviceIds();
         DeviceFleet fleet(fc);
         AuthService service(fleet, store, authConfigFor(ctx));

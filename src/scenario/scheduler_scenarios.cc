@@ -155,8 +155,8 @@ runAblationScheduler(RunContext &ctx)
         for (const int batch : {1, 2, 4, 8, 16}) {
             FleetConfig point = fc;
             point.dram.scheduler.replay_batch = batch;
-            std::istringstream bytes(store_snapshot);
-            EnrollmentStore store = EnrollmentStore::loadBinary(bytes);
+            EnrollmentStore store =
+                EnrollmentStore::loadBinary(store_snapshot);
             DeviceFleet fleet(point);
             AuthConfig ac;
             ac.threads = ctx.options().threads;

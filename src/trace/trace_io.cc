@@ -4,53 +4,11 @@
 #include <cstring>
 
 #include "common/logging.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define CODIC_TRACE_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
+#include "common/varint.h"
 
 namespace codic {
 
 namespace {
-
-// Fixed-width header/index integers are explicitly little-endian so
-// a trace recorded on one host replays on any other.
-
-void
-putLe32(std::vector<uint8_t> &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putLe64(std::vector<uint8_t> &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-uint32_t
-getLe32(const uint8_t *p)
-{
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-uint64_t
-getLe64(const uint8_t *p)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    return v;
-}
 
 /** Zigzag map so small negative deltas stay short varints. */
 uint64_t
@@ -97,19 +55,18 @@ TraceWriter::TraceWriter(const std::string &path, const TraceMeta &meta)
     if (!out_)
         fatal("trace writer: cannot create '", path, "'");
 
-    std::vector<uint8_t> header;
-    header.insert(header.end(), kTraceMagic,
-                  kTraceMagic + sizeof(kTraceMagic));
-    putLe32(header, kTraceFormatVersion);
+    // record_count, index_offset and max_addr (bytes 16-39) stay
+    // zero until finish() patches them.
+    std::vector<uint8_t> header(kFixedHeaderBytes);
+    std::memcpy(header.data(), kTraceMagic, sizeof(kTraceMagic));
+    storeLe<uint32_t>(&header[8], kTraceFormatVersion);
     header_bytes_ = static_cast<uint32_t>(
         kFixedHeaderBytes + meta_.scenario.size());
-    putLe32(header, header_bytes_);
-    putLe64(header, 0); // record_count, patched by finish().
-    putLe64(header, 0); // index_offset, patched by finish().
-    putLe64(header, 0); // max_addr, patched by finish().
-    putLe64(header, meta_.seed);
-    putLe32(header, meta_.epoch_stride);
-    putLe32(header, static_cast<uint32_t>(meta_.scenario.size()));
+    storeLe<uint32_t>(&header[12], header_bytes_);
+    storeLe<uint64_t>(&header[40], meta_.seed);
+    storeLe<uint32_t>(&header[48], meta_.epoch_stride);
+    storeLe<uint32_t>(&header[52],
+                      static_cast<uint32_t>(meta_.scenario.size()));
     header.insert(header.end(), meta_.scenario.begin(),
                   meta_.scenario.end());
     out_.write(reinterpret_cast<const char *>(header.data()),
@@ -125,16 +82,6 @@ TraceWriter::~TraceWriter()
         // Destructors must not throw; an explicit finish() call is
         // the place to observe write failures.
     }
-}
-
-void
-TraceWriter::putVarint(uint64_t v)
-{
-    while (v >= 0x80) {
-        putByte(static_cast<uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    putByte(static_cast<uint8_t>(v));
 }
 
 void
@@ -161,15 +108,15 @@ TraceWriter::append(const TraceRecord &record)
                            record_count_, record.tick});
     }
     const size_t before = buffer_.size();
-    putByte(static_cast<uint8_t>(record.kind));
-    putVarint(zigzagEncode(
+    buffer_.push_back(static_cast<uint8_t>(record.kind));
+    putVarint(buffer_, zigzagEncode(
         static_cast<int64_t>(record.tick - prev_tick_)));
-    putVarint(zigzagEncode(
+    putVarint(buffer_, zigzagEncode(
         static_cast<int64_t>(record.addr - prev_addr_)));
-    putVarint(record.origin);
+    putVarint(buffer_, record.origin);
     if (record.kind == TraceOpKind::RowOp) {
-        putByte(record.mech);
-        putVarint(zigzagEncode(record.reserved_row));
+        buffer_.push_back(record.mech);
+        putVarint(buffer_, zigzagEncode(record.reserved_row));
     }
     payload_offset_ += buffer_.size() - before;
     max_addr_ = std::max(max_addr_, record.addr);
@@ -189,24 +136,24 @@ TraceWriter::finish()
     flushBuffer();
 
     const uint64_t index_offset = header_bytes_ + payload_offset_;
-    std::vector<uint8_t> index;
-    putLe64(index, static_cast<uint64_t>(epochs_.size()));
-    for (const TraceEpoch &e : epochs_) {
-        putLe64(index, e.file_offset);
-        putLe64(index, e.start_record);
-        putLe64(index, e.start_tick);
+    std::vector<uint8_t> index(8 + epochs_.size() * kEpochEntryBytes);
+    storeLe<uint64_t>(index.data(), epochs_.size());
+    for (size_t i = 0; i < epochs_.size(); ++i) {
+        uint8_t *p = &index[8 + i * kEpochEntryBytes];
+        storeLe(p, epochs_[i].file_offset);
+        storeLe(p + 8, epochs_[i].start_record);
+        storeLe(p + 16, epochs_[i].start_tick);
     }
     out_.write(reinterpret_cast<const char *>(index.data()),
                static_cast<std::streamsize>(index.size()));
 
     // Patch the counts the header had to leave blank.
-    std::vector<uint8_t> patch;
-    putLe64(patch, record_count_);
-    putLe64(patch, index_offset);
-    putLe64(patch, max_addr_);
+    uint8_t patch[24];
+    storeLe(patch, record_count_);
+    storeLe(patch + 8, index_offset);
+    storeLe(patch + 16, max_addr_);
     out_.seekp(16);
-    out_.write(reinterpret_cast<const char *>(patch.data()),
-               static_cast<std::streamsize>(patch.size()));
+    out_.write(reinterpret_cast<const char *>(patch), sizeof(patch));
     out_.flush();
     if (!out_)
         fatal("trace writer: write to '", path_, "' failed");
@@ -215,60 +162,39 @@ TraceWriter::finish()
 
 // --- TraceReader ------------------------------------------------------------
 
-TraceReader::TraceReader(const std::string &path) : path_(path)
+TraceReader::TraceReader(const std::string &path)
+    : path_(path),
+      file_(path, MappedFile::Access::Sequential, "trace reader"),
+      stream_what_("trace reader: '" + path + "' record stream")
 {
-#ifdef CODIC_TRACE_HAVE_MMAP
-    fd_ = ::open(path.c_str(), O_RDONLY);
-    if (fd_ < 0)
-        fatal("trace reader: cannot open '", path, "'");
-    struct stat st;
-    if (::fstat(fd_, &st) != 0) {
-        ::close(fd_);
-        fatal("trace reader: cannot stat '", path, "'");
-    }
-    size_ = static_cast<uint64_t>(st.st_size);
-    if (size_ > 0) {
-        void *map = ::mmap(nullptr, size_, PROT_READ, MAP_SHARED,
-                           fd_, 0);
-        if (map == MAP_FAILED) {
-            ::close(fd_);
-            fatal("trace reader: mmap of '", path, "' failed");
-        }
-        data_ = static_cast<const uint8_t *>(map);
-        // The cursor streams front to back; tell the pager.
-        ::madvise(const_cast<uint8_t *>(data_), size_,
-                  MADV_SEQUENTIAL);
-    }
-#else
-    fatal("trace reader: mmap is not available on this platform");
-#endif
-
-    if (size_ < kFixedHeaderBytes)
-        fatal("trace reader: '", path, "' is truncated (", size_,
+    const uint8_t *data = file_.data();
+    const uint64_t size = file_.size();
+    if (size < kFixedHeaderBytes)
+        fatal("trace reader: '", path, "' is truncated (", size,
               " bytes, smaller than the ", kFixedHeaderBytes,
               "-byte header)");
-    if (std::memcmp(data_, kTraceMagic, sizeof(kTraceMagic)) != 0)
+    if (std::memcmp(data, kTraceMagic, sizeof(kTraceMagic)) != 0)
         fatal("trace reader: '", path,
               "' is not a CODIC trace (bad magic)");
-    version_ = getLe32(data_ + 8);
+    version_ = loadLe<uint32_t>(data + 8);
     if (version_ != kTraceFormatVersion)
         fatal("trace reader: '", path, "' has format version ",
               version_, " but this build reads version ",
               kTraceFormatVersion,
               "; re-record the trace with this build");
-    header_bytes_ = getLe32(data_ + 12);
-    record_count_ = getLe64(data_ + 16);
-    index_offset_ = getLe64(data_ + 24);
-    max_addr_ = getLe64(data_ + 32);
-    meta_.seed = getLe64(data_ + 40);
-    meta_.epoch_stride = getLe32(data_ + 48);
-    const uint32_t scenario_len = getLe32(data_ + 52);
+    header_bytes_ = loadLe<uint32_t>(data + 12);
+    record_count_ = loadLe<uint64_t>(data + 16);
+    index_offset_ = loadLe<uint64_t>(data + 24);
+    max_addr_ = loadLe<uint64_t>(data + 32);
+    meta_.seed = loadLe<uint64_t>(data + 40);
+    meta_.epoch_stride = loadLe<uint32_t>(data + 48);
+    const uint32_t scenario_len = loadLe<uint32_t>(data + 52);
     if (header_bytes_ != kFixedHeaderBytes + scenario_len ||
-        header_bytes_ > size_)
+        header_bytes_ > size)
         fatal("trace reader: '", path,
               "' header is inconsistent (truncated or corrupt)");
     meta_.scenario.assign(
-        reinterpret_cast<const char *>(data_ + kFixedHeaderBytes),
+        reinterpret_cast<const char *>(data + kFixedHeaderBytes),
         scenario_len);
     if (meta_.epoch_stride == 0)
         fatal("trace reader: '", path, "' has a zero epoch stride");
@@ -280,25 +206,25 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
               "' was never finalized (recording aborted?)");
     // Offsets and counts are untrusted: compare by subtraction and
     // division so no sum or product can wrap past the mapping.
-    if (index_offset_ < header_bytes_ || index_offset_ > size_ - 8)
+    if (index_offset_ < header_bytes_ || index_offset_ > size - 8)
         fatal("trace reader: '", path,
               "' index offset is out of bounds (truncated file?)");
-    const uint64_t epoch_count = getLe64(data_ + index_offset_);
+    const uint64_t epoch_count = loadLe<uint64_t>(data + index_offset_);
     const uint64_t expected_epochs =
         record_count_ / meta_.epoch_stride +
         (record_count_ % meta_.epoch_stride != 0);
     if (epoch_count != expected_epochs ||
-        epoch_count > (size_ - index_offset_ - 8) / kEpochEntryBytes)
+        epoch_count > (size - index_offset_ - 8) / kEpochEntryBytes)
         fatal("trace reader: '", path,
               "' epoch index is truncated or corrupt");
     epochs_.reserve(epoch_count);
     for (uint64_t i = 0; i < epoch_count; ++i) {
         const uint8_t *p =
-            data_ + index_offset_ + 8 + i * kEpochEntryBytes;
+            data + index_offset_ + 8 + i * kEpochEntryBytes;
         TraceEpoch e;
-        e.file_offset = getLe64(p);
-        e.start_record = getLe64(p + 8);
-        e.start_tick = getLe64(p + 16);
+        e.file_offset = loadLe<uint64_t>(p);
+        e.start_record = loadLe<uint64_t>(p + 8);
+        e.start_tick = loadLe<uint64_t>(p + 16);
         if (e.file_offset < header_bytes_ ||
             e.file_offset > index_offset_ ||
             e.start_record != i * meta_.epoch_stride)
@@ -306,16 +232,6 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
                   "' epoch index entry ", i, " is corrupt");
         epochs_.push_back(e);
     }
-}
-
-TraceReader::~TraceReader()
-{
-#ifdef CODIC_TRACE_HAVE_MMAP
-    if (data_)
-        ::munmap(const_cast<uint8_t *>(data_), size_);
-    if (fd_ >= 0)
-        ::close(fd_);
-#endif
 }
 
 TraceCursor
@@ -388,7 +304,7 @@ TraceReader::describe() const
     out += "records: " + std::to_string(record_count_) + "\n";
     out += "epochs: " + std::to_string(epochs_.size()) +
            " (stride " + std::to_string(meta_.epoch_stride) + ")\n";
-    out += "file_bytes: " + std::to_string(size_) + "\n";
+    out += "file_bytes: " + std::to_string(file_.size()) + "\n";
     out += "max_addr: " + std::to_string(max_addr_) + "\n";
     if (record_count_ > 0) {
         // First tick from the index; last by decoding the final
@@ -429,30 +345,15 @@ TraceCursor::moveToEpoch(const TraceEpoch &epoch)
 }
 
 uint64_t
-TraceCursor::getVarint()
+TraceCursor::nextVarint()
 {
-    uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-        if (offset_ >= reader_->index_offset_)
-            fatal("trace reader: '", reader_->path_,
-                  "' record stream ends mid-record (truncated or "
-                  "corrupt trace)");
-        const uint8_t b = reader_->data()[offset_++];
-        v |= static_cast<uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            return v;
-        shift += 7;
-        if (shift >= 64)
-            fatal("trace reader: '", reader_->path_,
-                  "' contains an overlong varint (corrupt trace)");
-    }
+    return getVarint(reader_->file_.data(), offset_,
+                     reader_->index_offset_, reader_->stream_what_);
 }
 
 void
 TraceCursor::releaseConsumedPages()
 {
-#ifdef CODIC_TRACE_HAVE_MMAP
     // Drop fully consumed pages so streaming a trace keeps resident
     // memory flat regardless of its length. The pages re-fault from
     // the file if another cursor (or a seek) revisits them.
@@ -460,12 +361,10 @@ TraceCursor::releaseConsumedPages()
     const uint64_t consumed = (offset_ / page) * page;
     if (consumed > released_below_ &&
         consumed - released_below_ >= kReleaseGranularity) {
-        ::madvise(const_cast<uint8_t *>(reader_->data() +
-                                        released_below_),
-                  consumed - released_below_, MADV_DONTNEED);
+        reader_->file_.release(released_below_,
+                               consumed - released_below_);
         released_below_ = consumed;
     }
-#endif
 }
 
 bool
@@ -481,28 +380,35 @@ TraceCursor::next(TraceRecord &record)
         fatal("trace reader: '", reader_->path_,
               "' record stream is shorter than its header's record "
               "count (truncated trace)");
-    const uint8_t kind = reader_->data()[offset_++];
+    const uint8_t kind = reader_->file_.data()[offset_++];
     if (kind >= kTraceOpKinds)
         fatal("trace reader: '", reader_->path_,
               "' contains an unknown op kind ", int(kind),
               " (corrupt trace)");
     record.kind = static_cast<TraceOpKind>(kind);
     record.tick =
-        prev_tick_ + static_cast<uint64_t>(zigzagDecode(getVarint()));
+        prev_tick_ + static_cast<uint64_t>(zigzagDecode(nextVarint()));
     record.addr =
-        prev_addr_ + static_cast<uint64_t>(zigzagDecode(getVarint()));
-    record.origin = getVarint();
+        prev_addr_ + static_cast<uint64_t>(zigzagDecode(nextVarint()));
+    // Replay sizes its module from the header's max_addr, so an
+    // address above it would fault inside the memory model.
+    if (record.addr > reader_->max_addr_)
+        fatal("trace reader: '", reader_->path_, "' record ",
+              record_index_, " addresses byte ", record.addr,
+              " above the header's max_addr ", reader_->max_addr_,
+              " (corrupt trace)");
+    record.origin = nextVarint();
     if (record.kind == TraceOpKind::RowOp) {
         if (offset_ >= reader_->index_offset_)
             fatal("trace reader: '", reader_->path_,
                   "' record stream ends mid-record (truncated or "
                   "corrupt trace)");
-        record.mech = reader_->data()[offset_++];
+        record.mech = reader_->file_.data()[offset_++];
         if (record.mech >= kTraceRowOpMechanisms)
             fatal("trace reader: '", reader_->path_,
                   "' contains an unknown row-op mechanism ",
                   int(record.mech), " (corrupt trace)");
-        record.reserved_row = zigzagDecode(getVarint());
+        record.reserved_row = zigzagDecode(nextVarint());
     } else {
         record.mech = 0;
         record.reserved_row = 0;

@@ -12,9 +12,11 @@
  * decode instead of a scan from byte zero.
  *
  * Both ends are loud about corruption: bad magic, a format-version
- * mismatch, a truncated header or record stream, and an
- * out-of-bounds index all raise FatalError with an actionable
- * message (never a misparse).
+ * mismatch, a truncated header or record stream, an out-of-bounds
+ * index, an overlong varint, and a record above the header's
+ * max_addr all raise FatalError with an actionable message (never a
+ * misparse). The mapping and the byte codecs are the ones the
+ * enrollment store uses (common/mapped_file.h, common/varint.h).
  */
 
 #ifndef CODIC_TRACE_TRACE_IO_H
@@ -26,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/mapped_file.h"
 #include "trace/trace_format.h"
 
 namespace codic {
@@ -68,8 +71,6 @@ class TraceWriter
     void finish();
 
   private:
-    void putByte(uint8_t b) { buffer_.push_back(b); }
-    void putVarint(uint64_t v);
     void flushBuffer();
 
     std::string path_;
@@ -99,8 +100,10 @@ class TraceCursor
   public:
     /**
      * Decode the next record. @return false at end of trace.
-     * @throws FatalError when the stream ends mid-record (truncated
-     *         or corrupt file).
+     * @throws FatalError when the stream ends mid-record, or holds an
+     *         overlong varint, an unknown kind or mechanism, or an
+     *         address above the header's max_addr (truncated or
+     *         corrupt file).
      */
     bool next(TraceRecord &record);
 
@@ -116,7 +119,7 @@ class TraceCursor
     }
 
     void moveToEpoch(const TraceEpoch &epoch);
-    uint64_t getVarint();
+    uint64_t nextVarint();
     void releaseConsumedPages();
 
     const TraceReader *reader_ = nullptr;
@@ -143,7 +146,6 @@ class TraceReader
      *         mismatch, or a header/index that overruns the file.
      */
     explicit TraceReader(const std::string &path);
-    ~TraceReader();
 
     TraceReader(const TraceReader &) = delete;
     TraceReader &operator=(const TraceReader &) = delete;
@@ -161,11 +163,12 @@ class TraceReader
      * Highest byte address any record touches (0 for an empty
      * trace): replay sizes its DRAM module to cover it, so a trace
      * recorded on a large module replays without address faults.
+     * Cursors reject a record above it.
      */
     uint64_t maxAddr() const { return max_addr_; }
 
     /** Total file size in bytes. */
-    uint64_t fileBytes() const { return size_; }
+    uint64_t fileBytes() const { return file_.size(); }
 
     /** The footer epoch index (one entry per epoch). */
     const std::vector<TraceEpoch> &epochs() const { return epochs_; }
@@ -196,12 +199,9 @@ class TraceReader
   private:
     friend class TraceCursor;
 
-    const uint8_t *data() const { return data_; }
-
     std::string path_;
-    const uint8_t *data_ = nullptr;
-    uint64_t size_ = 0;
-    int fd_ = -1;
+    MappedFile file_;
+    std::string stream_what_; //!< Error prefix for record decoding.
 
     uint32_t version_ = 0;
     uint32_t header_bytes_ = 0;

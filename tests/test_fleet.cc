@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of the fleet subsystem: device-population determinism and
- * lazy instantiation (DeviceFleet), binary/JSON round-trips with
+ * lazy instantiation (DeviceFleet), store-file round-trips with
  * version gating and LRU behavior (EnrollmentStore), traffic
  * synthesis (RequestGenerator), and end-to-end serving determinism
  * at any shard/thread count plus paper-level authentication quality
@@ -143,17 +143,7 @@ TEST(EnrollmentStore, BinaryRoundTrip)
     std::ostringstream out;
     store.saveBinary(out);
     EXPECT_EQ(out.str().size(), store.binarySizeBytes());
-    std::istringstream in(out.str());
-    expectStoresEqual(store, EnrollmentStore::loadBinary(in));
-}
-
-TEST(EnrollmentStore, JsonRoundTrip)
-{
-    const EnrollmentStore store = makeStore();
-    std::ostringstream out;
-    store.saveJson(out);
-    std::istringstream in(out.str());
-    expectStoresEqual(store, EnrollmentStore::loadJson(in));
+    expectStoresEqual(store, EnrollmentStore::loadBinary(out.str()));
 }
 
 TEST(EnrollmentStore, BinaryRejectsVersionMismatch)
@@ -162,8 +152,7 @@ TEST(EnrollmentStore, BinaryRejectsVersionMismatch)
     makeStore().saveBinary(out);
     std::string bytes = out.str();
     bytes[8] = 99; // First byte of the little-endian version field.
-    std::istringstream in(bytes);
-    EXPECT_THROW(EnrollmentStore::loadBinary(in), FatalError);
+    EXPECT_THROW(EnrollmentStore::loadBinary(bytes), FatalError);
 }
 
 TEST(EnrollmentStore, BinaryRejectsBadMagicAndTruncation)
@@ -174,11 +163,11 @@ TEST(EnrollmentStore, BinaryRejectsBadMagicAndTruncation)
 
     std::string corrupted = bytes;
     corrupted[0] = 'X';
-    std::istringstream bad_magic(corrupted);
-    EXPECT_THROW(EnrollmentStore::loadBinary(bad_magic), FatalError);
+    EXPECT_THROW(EnrollmentStore::loadBinary(corrupted), FatalError);
 
-    std::istringstream truncated(bytes.substr(0, bytes.size() - 3));
-    EXPECT_THROW(EnrollmentStore::loadBinary(truncated), FatalError);
+    EXPECT_THROW(
+        EnrollmentStore::loadBinary(bytes.substr(0, bytes.size() - 3)),
+        FatalError);
 }
 
 TEST(EnrollmentStore, BinaryRejectsImplausibleRecordSizes)
@@ -190,16 +179,15 @@ TEST(EnrollmentStore, BinaryRejectsImplausibleRecordSizes)
     // record starts with u64 id, u64 segment, u32 segment_bits).
     for (size_t i = 60; i < 64; ++i)
         bytes[i] = static_cast<char>(0xFF);
-    std::istringstream in(bytes);
-    EXPECT_THROW(EnrollmentStore::loadBinary(in), FatalError);
+    EXPECT_THROW(EnrollmentStore::loadBinary(bytes), FatalError);
 }
 
 TEST(EnrollmentStore, BinaryRejectsTrailingBytes)
 {
     std::ostringstream out;
     makeStore().saveBinary(out);
-    std::istringstream in(out.str() + "x");
-    EXPECT_THROW(EnrollmentStore::loadBinary(in), FatalError);
+    EXPECT_THROW(EnrollmentStore::loadBinary(out.str() + "x"),
+                 FatalError);
 }
 
 TEST(EnrollmentStore, DecodeRejectsOverlongVarints)
@@ -211,24 +199,6 @@ TEST(EnrollmentStore, DecodeRejectsOverlongVarints)
     rec.blob.assign(9, 0x80);
     rec.blob.push_back(0x02);
     EXPECT_THROW(EnrollmentStore::decode(rec), FatalError);
-}
-
-TEST(EnrollmentStore, JsonRejectsVersionMismatch)
-{
-    std::ostringstream out;
-    makeStore().saveJson(out);
-    std::string text = out.str();
-    const auto pos = text.find("\"version\":2");
-    ASSERT_NE(pos, std::string::npos);
-    text.replace(pos, 11, "\"version\":9");
-    std::istringstream in(text);
-    EXPECT_THROW(EnrollmentStore::loadJson(in), FatalError);
-}
-
-TEST(EnrollmentStore, JsonRejectsGarbage)
-{
-    std::istringstream in("{\"format\":\"something-else\"}");
-    EXPECT_THROW(EnrollmentStore::loadJson(in), FatalError);
 }
 
 TEST(EnrollmentStore, LruCacheCountsHitsAndEvicts)

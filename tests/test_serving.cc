@@ -318,6 +318,51 @@ TEST(MmapEnrollmentStore, RejectsARecordOffsetThatWraps)
     fs::remove(path);
 }
 
+TEST(MmapEnrollmentStore, RejectsAnIndexOffsetOffItsRecord)
+{
+    // Index entry 28's record offset, damaged two ways that stay
+    // inside the record area, so a range check alone accepts both:
+    // one flipped bit (1 KB back, mid-record) and the previous
+    // entry's offset (another device's whole record). Both read paths
+    // must reject the entry rather than serve other bytes.
+    const uint64_t slot = 28;
+    const uint64_t device = slot * 3;
+    for (const bool flip_bit : {true, false}) {
+        const std::string path =
+            writeTestStore("codic_test_mmap_offset.bin", 321, 40);
+        std::string bytes;
+        {
+            std::ifstream in(path, std::ios::binary);
+            std::ostringstream all;
+            all << in.rdbuf();
+            bytes = all.str();
+        }
+        const auto le = [&](size_t pos) {
+            uint64_t v = 0;
+            for (int i = 7; i >= 0; --i)
+                v = v << 8 | static_cast<uint8_t>(bytes[pos + i]);
+            return v;
+        };
+        const size_t entry = le(32) + slot * 16;
+        if (flip_bit) {
+            ASSERT_TRUE(bytes[entry + 9] & 0x04)
+                << "entry 28 must start past 1 KB";
+            bytes[entry + 9] ^= 0x04;
+        } else {
+            bytes.replace(entry + 8, 8, bytes, entry - 8, 8);
+        }
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << bytes;
+        }
+        EXPECT_THROW(EnrollmentStore::loadFile(path), FatalError);
+        MmapEnrollmentStore mm(path);
+        EXPECT_TRUE(mm.contains(device));
+        EXPECT_THROW(mm.lookup(device), FatalError);
+        fs::remove(path);
+    }
+}
+
 TEST(MmapEnrollmentStore, SyntheticStoreIsDeterministic)
 {
     const std::string a = tempPath("codic_test_synth_a.bin");
@@ -753,10 +798,6 @@ TEST(RunOptions, RejectsOutOfContractServingOptions)
         o.shed = std::numeric_limits<double>::infinity();
     });
     rejects([](RunOptions &o) { o.store_mmap = true; });
-    rejects([](RunOptions &o) {
-        o.store_mmap = true;
-        o.store_path = "fleet.json"; // No record index to map.
-    });
 }
 
 TEST(RunOptions, AcceptsTheServingDefaultsAndOverrides)

@@ -316,6 +316,40 @@ TEST_F(TraceRejection, UnknownRowOpMechanism)
     EXPECT_THROW(decodeAll(reader), FatalError);
 }
 
+TEST_F(TraceRejection, RecordAboveMaxAddr)
+{
+    // Replay sizes its module from the header's max_addr: a header
+    // that understates it is a corrupt trace, not an address fault
+    // for the memory model to panic on.
+    std::string damaged = bytes_;
+    patchLe(damaged, 32, 0);
+    writeFile(path_, damaged);
+    const TraceReader reader(path_);
+    EXPECT_THROW(decodeAll(reader), FatalError);
+}
+
+TEST_F(TraceRejection, OverlongVarint)
+{
+    // Origin 2^63 encodes as nine 0x80 bytes and a final 0x01; a
+    // final 0x02 would carry bit 64, which no u64 can hold.
+    TraceRecord r;
+    r.origin = 1ull << 63;
+    {
+        TraceWriter writer(path_, TraceMeta{});
+        writer.append(r);
+        writer.finish();
+    }
+    std::string damaged = fileBytes(path_);
+    // 56-byte header (no scenario name), then one byte each for the
+    // kind, the tick delta and the address delta.
+    const size_t last = 56 + 3 + 9;
+    ASSERT_EQ(static_cast<uint8_t>(damaged[last]), 0x01);
+    damaged[last] = 0x02;
+    writeFile(path_, damaged);
+    const TraceReader reader(path_);
+    EXPECT_THROW(decodeAll(reader), FatalError);
+}
+
 // --- Seeks ------------------------------------------------------------------
 
 TEST(TraceIo, SeekMatchesSequentialDecode)

@@ -28,12 +28,10 @@
  *   --zipf F           Fleet device-popularity Zipf exponent
  *                      (0 = uniform).
  *   --store FILE       Fleet enrollment-store file (written by
- *                      fleet_enroll, read by the traffic scenarios;
- *                      ".json" suffix selects the JSON format).
+ *                      fleet_enroll, read by the traffic scenarios).
  *   --store-mmap       Serve the --store file through the
  *                      mmap-backed read path (flat per-request
- *                      memory at any store size; binary format
- *                      only - the JSON mirror has no record index).
+ *                      memory at any store size).
  *   --regions N        Serving regions for the multi-region fleet
  *                      scenarios (default: the scenario's own,
  *                      normally 3). Each region gets its own
