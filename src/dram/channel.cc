@@ -141,6 +141,34 @@ DramChannel::checkAddress(const Address &addr) const
 }
 
 Cycle
+DramChannel::earliestAct(const Address &addr, size_t r, size_t bi) const
+{
+    if (bank_active_[bi])
+        panic("ACT to already-active bank ", addr.bank);
+    return std::max({bank_next_act_[bi], earliestActClass(addr.rank),
+                     rank_next_any_[r]});
+}
+
+Cycle
+DramChannel::earliestPre(size_t r, size_t bi) const
+{
+    return std::max(bank_next_pre_[bi], rank_next_any_[r]);
+}
+
+Cycle
+DramChannel::earliestColumn(const Command &cmd, size_t r,
+                            size_t bi) const
+{
+    const bool write = cmd.type == CommandType::Wr;
+    if (!bank_active_[bi] || bank_open_row_[bi] != cmd.addr.row)
+        panic(write ? "WR" : "RD", " to closed or mismatched row (open=",
+              bank_open_row_[bi], " want=", cmd.addr.row, ")");
+    return std::max({bank_next_rdwr_[bi],
+                     write ? next_wr_start_ : next_rd_start_,
+                     rank_next_any_[r]});
+}
+
+Cycle
 DramChannel::earliest(const Command &cmd) const
 {
     checkAddress(cmd.addr);
@@ -149,15 +177,10 @@ DramChannel::earliest(const Command &cmd) const
     const size_t bi = bankIdx(cmd.addr.rank, cmd.addr.bank);
 
     switch (cmd.type) {
-      case CommandType::Act: {
-        if (bank_active_[bi])
-            panic("ACT to already-active bank ", cmd.addr.bank);
-        return std::max({bank_next_act_[bi],
-                         earliestActClass(cmd.addr.rank),
-                         rank_next_any_[r]});
-      }
+      case CommandType::Act:
+        return earliestAct(cmd.addr, r, bi);
       case CommandType::Pre:
-        return std::max(bank_next_pre_[bi], rank_next_any_[r]);
+        return earliestPre(r, bi);
       case CommandType::PreAll: {
         Cycle when = rank_next_any_[r];
         const size_t base = bankIdx(cmd.addr.rank, 0);
@@ -167,20 +190,9 @@ DramChannel::earliest(const Command &cmd) const
                                            static_cast<size_t>(i)]);
         return when;
       }
-      case CommandType::Rd: {
-        if (!bank_active_[bi] || bank_open_row_[bi] != cmd.addr.row)
-            panic("RD to closed or mismatched row (open=",
-                  bank_open_row_[bi], " want=", cmd.addr.row, ")");
-        return std::max({bank_next_rdwr_[bi], next_rd_start_,
-                         rank_next_any_[r]});
-      }
-      case CommandType::Wr: {
-        if (!bank_active_[bi] || bank_open_row_[bi] != cmd.addr.row)
-            panic("WR to closed or mismatched row (open=",
-                  bank_open_row_[bi], " want=", cmd.addr.row, ")");
-        return std::max({bank_next_rdwr_[bi], next_wr_start_,
-                         rank_next_any_[r]});
-      }
+      case CommandType::Rd:
+      case CommandType::Wr:
+        return earliestColumn(cmd, r, bi);
       case CommandType::Ref: {
         // Linear pass over the rank's contiguous bank slices.
         Cycle when = rank_next_any_[r];
@@ -261,7 +273,40 @@ DramChannel::issueAtEarliest(const Command &cmd, Cycle not_before,
 }
 
 Cycle
-DramChannel::apply(const Command &cmd, Cycle t)
+DramChannel::issueAccess(const Command &column, Cycle open_not_before,
+                         Cycle column_not_before)
+{
+    CODIC_ASSERT(column.type == CommandType::Rd ||
+                 column.type == CommandType::Wr);
+    const Address &a = column.addr;
+    checkAddress(a);
+    const size_t r = static_cast<size_t>(a.rank);
+    const size_t bi = bankIdx(a.rank, a.bank);
+    // The prerequisite chain of a column access (ramulator's
+    // decode): a row hit needs nothing, a closed bank an ACT, and a
+    // bank holding another row a PRE first. Each command takes the
+    // same horizon and state helpers as its own earliest()/apply().
+    Cycle row_ready = open_not_before;
+    if (!bank_active_[bi] || bank_open_row_[bi] != a.row) {
+        if (bank_active_[bi]) {
+            const Cycle t =
+                std::max(earliestPre(r, bi), open_not_before);
+            noteIssue(t);
+            applyPre(bi, t);
+        }
+        const Cycle t = std::max(earliestAct(a, r, bi), open_not_before);
+        noteIssue(t);
+        row_ready = applyAct(a, bi, t);
+    }
+    const Cycle t = std::max(
+        {earliestColumn(column, r, bi), row_ready, column_not_before});
+    noteIssue(t);
+    return column.type == CommandType::Rd ? applyRd(bi, t)
+                                          : applyWr(column, bi, t);
+}
+
+void
+DramChannel::noteIssue(Cycle t)
 {
 #ifndef NDEBUG
     // Ownership rule (class comment): a channel is confined to the
@@ -275,46 +320,98 @@ DramChannel::apply(const Command &cmd, Cycle t)
     }
 #endif
     last_issue_ = std::max(last_issue_, t);
+}
+
+Cycle
+DramChannel::applyAct(const Address &addr, size_t bi, Cycle t)
+{
+    const auto &tt = config_.timing;
+    ++counts_.act;
+    ++counts_.per_bank[bi].act;
+    if (!bank_active_[bi])
+        bank_open_since_[bi] = t;
+    bank_active_[bi] = 1;
+    bank_open_row_[bi] = addr.row;
+    bank_next_rdwr_[bi] = std::max(bank_next_rdwr_[bi], t + tt.trcd);
+    bank_next_pre_[bi] = std::max(bank_next_pre_[bi], t + tt.tras);
+    bank_next_act_[bi] = std::max(bank_next_act_[bi], t + tt.trc);
+    // The second activation of a RowClone FPM pair may only issue
+    // once the source row is fully restored (tRAS), otherwise the
+    // copy is unreliable.
+    bank_next_rowclone_[bi] = t + tt.tras;
+    noteActClass(addr.rank, t);
+    // Activating a half-Vdd row resolves it to signatures; the
+    // data-state machine handles all cases.
+    uint8_t &rs = row_state_[rowIdx(bi, addr.row)];
+    rs = static_cast<uint8_t>(afterVariant(
+        VariantClass::Activate, static_cast<RowDataState>(rs)));
+    return t + tt.trcd;
+}
+
+Cycle
+DramChannel::applyPre(size_t bi, Cycle t)
+{
+    const auto &tt = config_.timing;
+    ++counts_.pre;
+    if (bank_active_[bi] && t > bank_open_since_[bi])
+        bank_open_cycles_[bi] += t - bank_open_since_[bi];
+    bank_active_[bi] = 0;
+    bank_open_row_[bi] = -1;
+    bank_next_act_[bi] = std::max(bank_next_act_[bi], t + tt.trp);
+    return t + tt.trp;
+}
+
+Cycle
+DramChannel::applyRd(size_t bi, Cycle t)
+{
+    const auto &tt = config_.timing;
+    ++counts_.rd;
+    ++counts_.per_bank[bi].rd;
+    if (last_bus_dir_ == BusDir::Write)
+        ++counts_.wr_rd_turnarounds;
+    last_bus_dir_ = BusDir::Read;
+    next_rd_start_ = std::max(next_rd_start_, t + tt.tccd);
+    // RD-to-WR bus turnaround: write burst must not collide with the
+    // read burst on the shared bus.
+    next_wr_start_ =
+        std::max(next_wr_start_, t + tt.tcl + tt.tbl + 2 - tt.tcwl);
+    bank_next_pre_[bi] = std::max(bank_next_pre_[bi], t + tt.trtp);
+    return t + tt.tcl + tt.tbl;
+}
+
+Cycle
+DramChannel::applyWr(const Command &cmd, size_t bi, Cycle t)
+{
+    const auto &tt = config_.timing;
+    ++counts_.wr;
+    ++counts_.per_bank[bi].wr;
+    if (last_bus_dir_ == BusDir::Read)
+        ++counts_.rd_wr_turnarounds;
+    last_bus_dir_ = BusDir::Write;
+    next_wr_start_ = std::max(next_wr_start_, t + tt.tccd);
+    next_rd_start_ =
+        std::max(next_rd_start_, t + tt.tcwl + tt.tbl + tt.twtr);
+    bank_next_pre_[bi] =
+        std::max(bank_next_pre_[bi], t + tt.tcwl + tt.tbl + tt.twr);
+    row_state_[rowIdx(bi, cmd.addr.row)] = static_cast<uint8_t>(
+        cmd.zero_fill ? RowDataState::Zeroes : RowDataState::Data);
+    return t + tt.tcwl + tt.tbl + tt.twr;
+}
+
+Cycle
+DramChannel::apply(const Command &cmd, Cycle t)
+{
+    noteIssue(t);
 
     const auto &tt = config_.timing;
     const size_t r = static_cast<size_t>(cmd.addr.rank);
     const size_t bi = bankIdx(cmd.addr.rank, cmd.addr.bank);
 
     switch (cmd.type) {
-      case CommandType::Act: {
-        ++counts_.act;
-        ++counts_.per_bank[bi].act;
-        if (!bank_active_[bi])
-            bank_open_since_[bi] = t;
-        bank_active_[bi] = 1;
-        bank_open_row_[bi] = cmd.addr.row;
-        bank_next_rdwr_[bi] = std::max(bank_next_rdwr_[bi],
-                                       t + tt.trcd);
-        bank_next_pre_[bi] = std::max(bank_next_pre_[bi],
-                                      t + tt.tras);
-        bank_next_act_[bi] = std::max(bank_next_act_[bi], t + tt.trc);
-        // The second activation of a RowClone FPM pair may only issue
-        // once the source row is fully restored (tRAS), otherwise the
-        // copy is unreliable.
-        bank_next_rowclone_[bi] = t + tt.tras;
-        noteActClass(cmd.addr.rank, t);
-        // Activating a half-Vdd row resolves it to signatures; the
-        // data-state machine handles all cases.
-        uint8_t &rs = row_state_[rowIdx(bi, cmd.addr.row)];
-        rs = static_cast<uint8_t>(
-            afterVariant(VariantClass::Activate,
-                         static_cast<RowDataState>(rs)));
-        return t + tt.trcd;
-      }
-      case CommandType::Pre: {
-        ++counts_.pre;
-        if (bank_active_[bi] && t > bank_open_since_[bi])
-            bank_open_cycles_[bi] += t - bank_open_since_[bi];
-        bank_active_[bi] = 0;
-        bank_open_row_[bi] = -1;
-        bank_next_act_[bi] = std::max(bank_next_act_[bi], t + tt.trp);
-        return t + tt.trp;
-      }
+      case CommandType::Act:
+        return applyAct(cmd.addr, bi, t);
+      case CommandType::Pre:
+        return applyPre(bi, t);
       case CommandType::PreAll: {
         ++counts_.pre;
         const size_t base = bankIdx(cmd.addr.rank, 0);
@@ -329,38 +426,10 @@ DramChannel::apply(const Command &cmd, Cycle t)
         }
         return t + tt.trp;
       }
-      case CommandType::Rd: {
-        ++counts_.rd;
-        ++counts_.per_bank[bi].rd;
-        if (last_bus_dir_ == BusDir::Write)
-            ++counts_.wr_rd_turnarounds;
-        last_bus_dir_ = BusDir::Read;
-        next_rd_start_ = std::max(next_rd_start_, t + tt.tccd);
-        // RD-to-WR bus turnaround: write burst must not collide with
-        // the read burst on the shared bus.
-        next_wr_start_ =
-            std::max(next_wr_start_, t + tt.tcl + tt.tbl + 2 - tt.tcwl);
-        bank_next_pre_[bi] = std::max(bank_next_pre_[bi],
-                                      t + tt.trtp);
-        return t + tt.tcl + tt.tbl;
-      }
-      case CommandType::Wr: {
-        ++counts_.wr;
-        ++counts_.per_bank[bi].wr;
-        if (last_bus_dir_ == BusDir::Read)
-            ++counts_.rd_wr_turnarounds;
-        last_bus_dir_ = BusDir::Write;
-        next_wr_start_ = std::max(next_wr_start_, t + tt.tccd);
-        next_rd_start_ =
-            std::max(next_rd_start_, t + tt.tcwl + tt.tbl + tt.twtr);
-        bank_next_pre_[bi] =
-            std::max(bank_next_pre_[bi],
-                     t + tt.tcwl + tt.tbl + tt.twr);
-        row_state_[rowIdx(bi, cmd.addr.row)] =
-            static_cast<uint8_t>(cmd.zero_fill ? RowDataState::Zeroes
-                                               : RowDataState::Data);
-        return t + tt.tcwl + tt.tbl + tt.twr;
-      }
+      case CommandType::Rd:
+        return applyRd(bi, t);
+      case CommandType::Wr:
+        return applyWr(cmd, bi, t);
       case CommandType::Ref: {
         ++counts_.ref;
         rank_next_any_[r] = std::max(rank_next_any_[r], t + tt.trfc);

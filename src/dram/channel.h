@@ -186,6 +186,20 @@ class DramChannel
     Cycle issueAtEarliest(const Command &cmd, Cycle not_before,
                           Cycle *issued_at = nullptr);
 
+    /**
+     * One column access with its row opened first, in one call: a
+     * PRE if the bank holds another row, an ACT if the bank is then
+     * closed, each at its earliest legal cycle >= `open_not_before`,
+     * then `column` (RD or WR) at its earliest legal cycle no sooner
+     * than `column_not_before`, `open_not_before` and the ACT's
+     * row-ready cycle. The same commands at the same cycles as
+     * issueAtEarliest() of each in turn, with the address checked
+     * once.
+     * @return The column command's completion cycle.
+     */
+    Cycle issueAccess(const Command &column, Cycle open_not_before,
+                      Cycle column_not_before);
+
     /** Data state of one row. */
     RowDataState rowState(int rank, int bank, int64_t row) const;
 
@@ -254,6 +268,15 @@ class DramChannel
     void checkAddress(const Address &addr) const;
 
     /**
+     * The horizon rules of ACT, PRE and RD/WR at a checked address
+     * (rank index `r`, bank index `bi`), shared by earliest() and
+     * issueAccess(). Each panics where earliest() does.
+     */
+    Cycle earliestAct(const Address &addr, size_t r, size_t bi) const;
+    Cycle earliestPre(size_t r, size_t bi) const;
+    Cycle earliestColumn(const Command &cmd, size_t r, size_t bi) const;
+
+    /**
      * Apply an already-legal command at cycle `t`: update horizons,
      * counters, and row states. Both issue() (after its JEDEC check)
      * and issueAtEarliest() (whose `t` is legal by construction)
@@ -261,6 +284,22 @@ class DramChannel
      * twice.
      */
     Cycle apply(const Command &cmd, Cycle t);
+
+    /**
+     * The state updates of ACT, PRE, RD and WR at cycle `t`, shared
+     * by apply() and issueAccess(); each returns the completion
+     * cycle. The caller has already called noteIssue(t).
+     */
+    Cycle applyAct(const Address &addr, size_t bi, Cycle t);
+    Cycle applyPre(size_t bi, Cycle t);
+    Cycle applyRd(size_t bi, Cycle t);
+    Cycle applyWr(const Command &cmd, size_t bi, Cycle t);
+
+    /**
+     * What every issued command shares: the debug-mode ownership
+     * check and the last issue cycle.
+     */
+    void noteIssue(Cycle t);
 
     DramConfig config_;
     int channel_id_;

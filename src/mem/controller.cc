@@ -32,22 +32,6 @@ MemoryController::MemoryController(DramChannel &channel,
         static_cast<size_t>(config_.write_queue_entries));
 }
 
-Cycle
-MemoryController::openRowFor(const Address &addr, Cycle now)
-{
-    if (channel_.bankActive(addr.rank, addr.bank)) {
-        if (channel_.openRow(addr.rank, addr.bank) == addr.row)
-            return now; // Row hit.
-        // Row conflict: close the open row first.
-        Command pre{CommandType::Pre, addr, 0};
-        channel_.issueAtEarliest(pre, now);
-    }
-    Command act{CommandType::Act, addr, 0};
-    Cycle issued = 0;
-    const Cycle ready = channel_.issueAtEarliest(act, now, &issued);
-    return ready;
-}
-
 void
 MemoryController::takeRowMatchesInto(const Address &row, size_t limit,
                                      std::vector<PendingWrite> &out)
@@ -138,14 +122,13 @@ MemoryController::issueRowBatch(const std::vector<PendingWrite> &batch,
 {
     CODIC_ASSERT(!batch.empty());
     Cycle done = 0;
-    const Cycle row_ready = openRowFor(batch.front().addr, not_before);
     for (const PendingWrite &w : batch) {
-        Command wr{CommandType::Wr, w.addr, 0};
-        // A drain forced by an earlier-arrival request (write
+        // The first write opens the row at `not_before`; the rest hit
+        // it. A drain forced by an earlier-arrival request (write
         // forwarding) must not issue a write before that write was
         // even accepted.
-        done = channel_.issueAtEarliest(
-            wr, std::max(row_ready, w.accepted));
+        done = channel_.issueAccess(Command{CommandType::Wr, w.addr, 0},
+                                    not_before, w.accepted);
         write_completions_.push_back(done);
         markCompleted(w.ticket, done);
     }
@@ -345,9 +328,8 @@ MemoryController::issueRead(const MemTransaction &txn,
     // row accepted before it, so those drain first. Pending writes to
     // other rows stay buffered - reads keep priority over them.
     flushRow(addr, txn.arrival);
-    const Cycle row_ready = openRowFor(addr, txn.arrival);
-    Command rd{CommandType::Rd, addr, 0};
-    return channel_.issueAtEarliest(rd, row_ready);
+    return channel_.issueAccess(Command{CommandType::Rd, addr, 0},
+                                txn.arrival, txn.arrival);
 }
 
 Cycle

@@ -264,9 +264,6 @@ class MemoryController : public MemoryService
         bool completed = false;
     };
 
-    /** Ensure `addr`'s row is open; returns cycle row is usable. */
-    Cycle openRowFor(const Address &addr, Cycle now);
-
     /** Index into per-bank bookkeeping arrays. */
     size_t bankIndex(const Address &addr) const
     {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <span>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -58,50 +59,55 @@ fromRuns(const std::string &name,
     return c;
 }
 
-} // namespace
-
-DeallocRunResult
-runSingleCore(const Workload &workload, DeallocMode mode,
-              const DeallocEvalConfig &config)
+/** Each core's private region: an equal share of the module. */
+uint64_t
+regionBytes(const DeallocEvalConfig &config, size_t cores)
 {
-    DramSystem system(dramFor(config), controllerFor(config));
-    CoreConfig core_cfg = config.core;
-    core_cfg.dealloc = mode;
-    InOrderCore core(system, core_cfg);
-    core.bind(&workload);
-    double end_ns = core.run();
-    const Cycle drained = system.drainAll();
-    end_ns = std::max(end_ns,
-                      static_cast<double>(drained) *
-                          system.config().tck_ns);
-
-    DeallocRunResult result;
-    result.time_ns = end_ns;
-    result.core_stats = core.stats();
-    result.commands = system.totalCounts();
-    result.energy_nj = systemEnergyNj(system, end_ns, config.energy);
-    return result;
+    CODIC_ASSERT(cores > 0);
+    return static_cast<uint64_t>(dramFor(config).capacityBytes()) /
+           cores;
 }
 
-DeallocRunResult
-runMultiCore(const WorkloadMix &mix, DeallocMode mode,
-             const DeallocEvalConfig &config)
+/** Raise FatalError unless every trace fits its core's region. */
+void
+requireFits(std::span<const Workload> traces,
+            const DeallocEvalConfig &config)
 {
-    CODIC_ASSERT(!mix.traces.empty());
+    const uint64_t region = regionBytes(config, traces.size());
+    for (const Workload &w : traces) {
+        const uint64_t extent = w.extentBytes();
+        if (extent > region)
+            fatal("trace '", w.name, "' spans ", extent,
+                  " bytes, more than the ", region, "-byte region of ",
+                  "each of ", traces.size(), " core(s) on a ",
+                  config.dram_capacity_mb, " MB module");
+    }
+}
+
+/**
+ * One mechanism run: one core per trace, each in its own region,
+ * stepped smallest-local-time first over one shared module. With
+ * `recordings` (one per trace) the cores replay their cache passes.
+ */
+DeallocRunResult
+simulate(std::span<const Workload> traces, DeallocMode mode,
+         const std::vector<CacheRecording> *recordings,
+         const DeallocEvalConfig &config)
+{
     DramSystem system(dramFor(config), controllerFor(config));
 
     CoreConfig core_cfg = config.core;
     core_cfg.dealloc = mode;
 
-    // Each core gets a private physical region.
-    const uint64_t region =
-        static_cast<uint64_t>(system.config().capacityBytes()) /
-        mix.traces.size();
+    const uint64_t region = regionBytes(config, traces.size());
     std::vector<std::unique_ptr<InOrderCore>> cores;
-    for (size_t i = 0; i < mix.traces.size(); ++i) {
+    for (size_t i = 0; i < traces.size(); ++i) {
         cores.push_back(std::make_unique<InOrderCore>(
             system, core_cfg, region * i));
-        cores[i]->bind(&mix.traces[i]);
+        if (recordings)
+            cores[i]->bind(&traces[i], (*recordings)[i]);
+        else
+            cores[i]->bind(&traces[i]);
     }
 
     // Discrete-event interleaving: always step the core with the
@@ -134,6 +140,79 @@ runMultiCore(const WorkloadMix &mix, DeallocMode mode,
     return result;
 }
 
+/** One row of a Fig. 8 / Fig. 9 sweep: a name, one trace per core. */
+struct Case
+{
+    const std::string &name;
+    std::span<const Workload> traces;
+};
+
+/**
+ * The comparison rows of `cases`, two campaign tasks per case: the
+ * live software-zeroing run, and one cache pass (per core) that the
+ * LISA-clone, RowClone and CODIC-det runs replay. The three hardware
+ * mechanisms invalidate the same rows and store the same lines, so
+ * their caches decide alike (see sim/core.h); each recording lives
+ * only as long as its task.
+ */
+std::vector<BenchmarkComparison>
+compareCases(const std::vector<Case> &cases,
+             const DeallocEvalConfig &config)
+{
+    for (const Case &c : cases)
+        requireFits(c.traces, config);
+
+    // Any hardware mode records the pass all three share.
+    CoreConfig recorder = config.core;
+    recorder.dealloc = DeallocMode::CodicDet;
+    const int64_t row_bytes = dramFor(config).row_bytes;
+
+    std::vector<std::array<DeallocRunResult, 4>> runs(cases.size());
+    CampaignEngine engine(config.run.threads);
+    engine.forEach(2 * cases.size(), [&](size_t t) {
+        const Case &c = cases[t / 2];
+        std::array<DeallocRunResult, 4> &r = runs[t / 2];
+        if (t % 2 == 0) {
+            r[0] = simulate(c.traces, DeallocMode::SoftwareZero, nullptr,
+                            config);
+            return;
+        }
+        const uint64_t region = regionBytes(config, c.traces.size());
+        std::vector<CacheRecording> recordings;
+        recordings.reserve(c.traces.size());
+        for (size_t i = 0; i < c.traces.size(); ++i)
+            recordings.push_back(recordCachePass(
+                c.traces[i], recorder, row_bytes, region * i));
+        for (size_t m = 1; m < kModes.size(); ++m)
+            r[m] = simulate(c.traces, kModes[m], &recordings, config);
+    });
+
+    std::vector<BenchmarkComparison> out;
+    out.reserve(cases.size());
+    for (size_t x = 0; x < cases.size(); ++x)
+        out.push_back(fromRuns(cases[x].name, runs[x]));
+    return out;
+}
+
+} // namespace
+
+DeallocRunResult
+runSingleCore(const Workload &workload, DeallocMode mode,
+              const DeallocEvalConfig &config)
+{
+    const std::span<const Workload> traces(&workload, 1);
+    requireFits(traces, config);
+    return simulate(traces, mode, nullptr, config);
+}
+
+DeallocRunResult
+runMultiCore(const WorkloadMix &mix, DeallocMode mode,
+             const DeallocEvalConfig &config)
+{
+    requireFits(mix.traces, config);
+    return simulate(mix.traces, mode, nullptr, config);
+}
+
 double
 speedupOver(const DeallocRunResult &baseline,
             const DeallocRunResult &candidate)
@@ -154,71 +233,40 @@ BenchmarkComparison
 compareSingleCore(const std::string &benchmark,
                   const DeallocEvalConfig &config)
 {
-    const Workload w =
-        generateWorkload(benchmarkParams(benchmark, config.run.seed));
-    std::array<DeallocRunResult, 4> runs;
-    CampaignEngine engine(config.run.threads);
-    engine.forEach(kModes.size(), [&](size_t m) {
-        runs[m] = runSingleCore(w, kModes[m], config);
-    });
-    return fromRuns(benchmark, runs);
+    return compareSingleCoreAll({benchmark}, config).front();
 }
 
 BenchmarkComparison
 compareMultiCore(const WorkloadMix &mix, const DeallocEvalConfig &config)
 {
-    std::array<DeallocRunResult, 4> runs;
-    CampaignEngine engine(config.run.threads);
-    engine.forEach(kModes.size(), [&](size_t m) {
-        runs[m] = runMultiCore(mix, kModes[m], config);
-    });
-    return fromRuns(mix.name, runs);
+    return compareCases({{mix.name, mix.traces}}, config).front();
 }
 
 std::vector<BenchmarkComparison>
 compareSingleCoreAll(const std::vector<std::string> &benchmarks,
                      const DeallocEvalConfig &config)
 {
-    // Flatten benchmark x mechanism so the engine balances the whole
-    // grid instead of four runs at a time.
     std::vector<Workload> workloads;
     workloads.reserve(benchmarks.size());
     for (const auto &name : benchmarks)
         workloads.push_back(
             generateWorkload(benchmarkParams(name, config.run.seed)));
-
-    std::vector<std::array<DeallocRunResult, 4>> runs(benchmarks.size());
-    CampaignEngine engine(config.run.threads);
-    engine.forEach(benchmarks.size() * kModes.size(), [&](size_t t) {
-        const size_t b = t / kModes.size();
-        const size_t m = t % kModes.size();
-        runs[b][m] = runSingleCore(workloads[b], kModes[m], config);
-    });
-
-    std::vector<BenchmarkComparison> out;
-    out.reserve(benchmarks.size());
+    std::vector<Case> cases;
+    cases.reserve(benchmarks.size());
     for (size_t b = 0; b < benchmarks.size(); ++b)
-        out.push_back(fromRuns(benchmarks[b], runs[b]));
-    return out;
+        cases.push_back({benchmarks[b], {&workloads[b], 1}});
+    return compareCases(cases, config);
 }
 
 std::vector<BenchmarkComparison>
 compareMultiCoreAll(const std::vector<WorkloadMix> &mixes,
                     const DeallocEvalConfig &config)
 {
-    std::vector<std::array<DeallocRunResult, 4>> runs(mixes.size());
-    CampaignEngine engine(config.run.threads);
-    engine.forEach(mixes.size() * kModes.size(), [&](size_t t) {
-        const size_t x = t / kModes.size();
-        const size_t m = t % kModes.size();
-        runs[x][m] = runMultiCore(mixes[x], kModes[m], config);
-    });
-
-    std::vector<BenchmarkComparison> out;
-    out.reserve(mixes.size());
-    for (size_t x = 0; x < mixes.size(); ++x)
-        out.push_back(fromRuns(mixes[x].name, runs[x]));
-    return out;
+    std::vector<Case> cases;
+    cases.reserve(mixes.size());
+    for (const WorkloadMix &mix : mixes)
+        cases.push_back({mix.name, mix.traces});
+    return compareCases(cases, config);
 }
 
 } // namespace codic

@@ -35,8 +35,9 @@ struct DeallocEvalConfig
     /**
      * Shared options. `run.seed` seeds the workload generators of
      * the compare* sweeps; `run.threads` drives the campaign engine
-     * (each mechanism/benchmark run is an independent simulation;
-     * results are identical at any thread count).
+     * (each comparison runs as two independent tasks, see
+     * compareSingleCoreAll(); results are identical at any thread
+     * count).
      */
     RunOptions run = {.seed = 11};
 
@@ -46,12 +47,21 @@ struct DeallocEvalConfig
     CoreConfig core;
 };
 
-/** Run one single-core benchmark under a mechanism. */
+/**
+ * Run one single-core benchmark under a mechanism, walking the
+ * caches live (the reference the compare* sweeps reproduce).
+ * @throws FatalError when the trace reaches past the module
+ *         (Workload::extentBytes() above its capacity).
+ */
 DeallocRunResult runSingleCore(const Workload &workload,
                                DeallocMode mode,
                                const DeallocEvalConfig &config = {});
 
-/** Run one 4-core mix under a mechanism (shared channel). */
+/**
+ * Run one 4-core mix under a mechanism (shared channel); each core
+ * gets a private region of capacity / cores bytes.
+ * @throws FatalError when a trace reaches past its region.
+ */
 DeallocRunResult runMultiCore(const WorkloadMix &mix, DeallocMode mode,
                               const DeallocEvalConfig &config = {});
 
@@ -87,16 +97,23 @@ BenchmarkComparison compareMultiCore(const WorkloadMix &mix,
                                      const DeallocEvalConfig &config = {});
 
 /**
- * Evaluate many single-core benchmarks (Fig. 8 sweep). The
- * benchmark x mechanism grid is flattened into one campaign, so with
- * more than one engine thread independent simulations run
- * concurrently; results are identical to the sequential sweep.
+ * Evaluate many single-core benchmarks (Fig. 8 sweep). Each
+ * benchmark is two campaign tasks: the software-zeroing run, and one
+ * recorded cache pass that the LISA-clone, RowClone and CODIC-det
+ * runs replay (sim/core.h). With more than one engine thread the
+ * tasks run concurrently; results are identical to the sequential
+ * sweep and to runSingleCore() of each mechanism.
+ * @throws FatalError when a trace does not fit the module, checked
+ *         once per benchmark before any task runs.
  */
 std::vector<BenchmarkComparison>
 compareSingleCoreAll(const std::vector<std::string> &benchmarks,
                      const DeallocEvalConfig &config = {});
 
-/** Evaluate many mixes (Fig. 9 sweep); same campaign structure. */
+/**
+ * Evaluate many mixes (Fig. 9 sweep); same campaign structure, one
+ * cache pass per core, and the results of runMultiCore().
+ */
 std::vector<BenchmarkComparison>
 compareMultiCoreAll(const std::vector<WorkloadMix> &mixes,
                     const DeallocEvalConfig &config = {});

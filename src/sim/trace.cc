@@ -1,5 +1,7 @@
 #include "sim/trace.h"
 
+#include <algorithm>
+
 namespace codic {
 
 uint64_t
@@ -34,6 +36,27 @@ Workload::instructionCount() const
         }
     }
     return n;
+}
+
+uint64_t
+Workload::extentBytes() const
+{
+    uint64_t end = 0;
+    for (const auto &op : ops) {
+        switch (op.type) {
+          case OpType::Compute:
+            break;
+          case OpType::Load:
+          case OpType::Store:
+          case OpType::Flush:
+            end = std::max(end, (op.addr | 63) + 1);
+            break;
+          case OpType::DeallocRegion:
+            end = std::max(end, op.addr + op.count);
+            break;
+        }
+    }
+    return end;
 }
 
 } // namespace codic

@@ -44,6 +44,13 @@ struct Workload
 
     /** Total instruction count (compute + memory uops). */
     uint64_t instructionCount() const;
+
+    /**
+     * Bytes of address space the trace reaches from offset 0: the
+     * highest end of a Load/Store/Flush line (64 B) or of a
+     * DeallocRegion. A core's region must hold at least this much.
+     */
+    uint64_t extentBytes() const;
 };
 
 } // namespace codic

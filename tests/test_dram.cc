@@ -3,12 +3,16 @@
  * Tests of the architectural DRAM model: configuration scaling, the
  * JEDEC timing checker, bank/rank state, FAW enforcement, row
  * data-state tracking, the CODIC command, RowClone / LISA commands,
- * and the refresh engine.
+ * the fused row access, and the refresh engine.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/logging.h"
+#include "common/rng.h"
 #include "dram/channel.h"
 #include "dram/config.h"
 #include "dram/refresh.h"
@@ -508,6 +512,228 @@ TEST(Channel, MrsBlocksRankBriefly)
     const auto &t = ch.config().timing;
     ch.issue(cmd(CommandType::Mrs), 0);
     EXPECT_EQ(ch.earliest(cmd(CommandType::Act)), t.tmrd);
+}
+
+// --- The fused row access. ---
+
+/**
+ * The per-command row opening issueAccess() replaces (the
+ * controller's former openRowFor): PRE on a conflict, then ACT on a
+ * miss, each through issueAtEarliest(). Returns the row-ready cycle.
+ */
+Cycle
+openRowPerCommand(DramChannel &ch, const Address &addr, Cycle now)
+{
+    if (ch.bankActive(addr.rank, addr.bank)) {
+        if (ch.openRow(addr.rank, addr.bank) == addr.row)
+            return now;
+        ch.issueAtEarliest(Command{CommandType::Pre, addr, 0}, now);
+    }
+    return ch.issueAtEarliest(Command{CommandType::Act, addr, 0}, now);
+}
+
+void
+expectSameBankCounts(const BankCounts &a, const BankCounts &b)
+{
+    EXPECT_EQ(a.act, b.act);
+    EXPECT_EQ(a.rd, b.rd);
+    EXPECT_EQ(a.wr, b.wr);
+    EXPECT_EQ(a.ref, b.ref);
+    EXPECT_EQ(a.refpb, b.refpb);
+    EXPECT_EQ(a.refresh_cycles, b.refresh_cycles);
+}
+
+/** Every counter, the bank states and the open-row residency. */
+void
+expectSameChannels(const DramChannel &a, const DramChannel &b, Cycle now)
+{
+    const CommandCounts &x = a.counts();
+    const CommandCounts &y = b.counts();
+    EXPECT_EQ(x.act, y.act);
+    EXPECT_EQ(x.pre, y.pre);
+    EXPECT_EQ(x.rd, y.rd);
+    EXPECT_EQ(x.wr, y.wr);
+    EXPECT_EQ(x.ref, y.ref);
+    EXPECT_EQ(x.refpb, y.refpb);
+    EXPECT_EQ(x.mrs, y.mrs);
+    EXPECT_EQ(x.codic, y.codic);
+    EXPECT_EQ(x.rowclone, y.rowclone);
+    EXPECT_EQ(x.lisa_rbm, y.lisa_rbm);
+    EXPECT_EQ(x.rd_wr_turnarounds, y.rd_wr_turnarounds);
+    EXPECT_EQ(x.wr_rd_turnarounds, y.wr_rd_turnarounds);
+    EXPECT_EQ(x.refresh_overlap_cycles, y.refresh_overlap_cycles);
+    ASSERT_EQ(x.per_bank.size(), y.per_bank.size());
+    for (size_t i = 0; i < x.per_bank.size(); ++i)
+        expectSameBankCounts(x.per_bank[i], y.per_bank[i]);
+    EXPECT_EQ(a.lastIssueCycle(), b.lastIssueCycle());
+    const DramConfig &cfg = a.config();
+    for (int r = 0; r < cfg.ranks; ++r) {
+        for (int k = 0; k < cfg.banks; ++k) {
+            ASSERT_EQ(a.bankActive(r, k), b.bankActive(r, k));
+            if (a.bankActive(r, k)) {
+                EXPECT_EQ(a.openRow(r, k), b.openRow(r, k));
+            }
+            EXPECT_EQ(a.openResidency(r, k, now),
+                      b.openResidency(r, k, now));
+        }
+    }
+}
+
+/**
+ * Twin channels under one random command stream: `fused` takes every
+ * column access and write batch through issueAccess(), `ref` through
+ * openRowPerCommand() and issueAtEarliest(), as the controller did
+ * before; refreshes and row ops go per command on both.
+ */
+void
+checkFusedAccessMatchesPerCommand(const DramConfig &cfg, uint64_t seed)
+{
+    DramChannel fused(cfg);
+    DramChannel ref(cfg);
+    const int det = fused.registerVariant(variants::detZero().schedule);
+    ASSERT_EQ(ref.registerVariant(variants::detZero().schedule), det);
+    Rng rng(seed);
+    // Four rows per bank, so a random access is often a row hit, a
+    // conflict, or (after a PRE, REF or row op) a closed bank.
+    const auto randomAddr = [&] {
+        Address a;
+        a.rank = static_cast<int>(rng.below(cfg.ranks));
+        a.bank = static_cast<int>(rng.below(cfg.banks));
+        a.row = static_cast<int64_t>(rng.below(4)) * 37;
+        a.column = static_cast<int>(rng.below(cfg.columns));
+        return a;
+    };
+    const auto both = [&](const Command &c, Cycle now) {
+        const Cycle x = fused.issueAtEarliest(c, now);
+        EXPECT_EQ(x, ref.issueAtEarliest(c, now));
+    };
+    const auto precharge = [&](int rank, int bank, Cycle now) {
+        if (!ref.bankActive(rank, bank))
+            return;
+        Address a;
+        a.rank = rank;
+        a.bank = bank;
+        both(Command{CommandType::Pre, a, 0}, now);
+    };
+
+    Cycle now = 0;
+    int hits = 0;
+    int conflicts = 0;
+    int closed = 0;
+    int late_batch_writes = 0;
+    for (int step = 0; step < 3000; ++step) {
+        now += rng.below(rng.below(8) == 0 ? 400 : 24);
+        const uint64_t pick = rng.below(100);
+        if (pick < 50) {
+            // One RD or WR, its column bound sometimes past the row's.
+            const Address a = randomAddr();
+            if (!ref.bankActive(a.rank, a.bank))
+                ++closed;
+            else if (ref.openRow(a.rank, a.bank) == a.row)
+                ++hits;
+            else
+                ++conflicts;
+            const Command col{rng.below(2) ? CommandType::Rd
+                                           : CommandType::Wr,
+                              a, 0};
+            const Cycle col_bound = now + rng.below(3) * rng.below(30);
+            const Cycle ready = openRowPerCommand(ref, a, now);
+            const Cycle expect =
+                ref.issueAtEarliest(col, std::max(ready, col_bound));
+            ASSERT_EQ(fused.issueAccess(col, now, col_bound), expect)
+                << "step " << step;
+        } else if (pick < 70) {
+            // A same-row write batch: accepted cycles in order, many
+            // past the cycle the batch's own ACT makes the row ready.
+            const Address row = randomAddr();
+            std::vector<Cycle> accepted(1 + rng.below(6));
+            for (Cycle &c : accepted)
+                c = now + rng.below(80);
+            std::sort(accepted.begin(), accepted.end());
+            const Cycle ready = openRowPerCommand(ref, row, now);
+            for (size_t i = 0; i < accepted.size(); ++i) {
+                Address a = row;
+                a.column = static_cast<int>(rng.below(cfg.columns));
+                const Command wr{CommandType::Wr, a, 0};
+                const Cycle expect = ref.issueAtEarliest(
+                    wr, std::max(ready, accepted[i]));
+                ASSERT_EQ(fused.issueAccess(wr, now, accepted[i]),
+                          expect)
+                    << "step " << step << " write " << i;
+                late_batch_writes += i > 0 && ready > now &&
+                                     accepted[i] > ready;
+            }
+        } else if (pick < 80) {
+            const Address a = randomAddr();
+            precharge(a.rank, a.bank, now);
+        } else if (pick < 85) {
+            // Rank REF: every bank of the rank precharged first.
+            const int rank = static_cast<int>(rng.below(cfg.ranks));
+            for (int k = 0; k < cfg.banks; ++k)
+                precharge(rank, k, now);
+            Command c{CommandType::Ref, Address{}, 0};
+            c.addr.rank = rank;
+            both(c, now);
+        } else if (pick < 90) {
+            // REFpb: only the target bank precharged.
+            const Address a = randomAddr();
+            precharge(a.rank, a.bank, now);
+            both(Command{CommandType::RefPb, a, 0}, now);
+        } else if (pick < 95) {
+            const Address a = randomAddr();
+            precharge(a.rank, a.bank, now);
+            both(Command{CommandType::Codic, a, det}, now);
+        } else {
+            // RowClone (or LISA-clone) copy of a reserved row.
+            const Address dst = randomAddr();
+            Address src = dst;
+            src.row = cfg.rows - 1;
+            precharge(dst.rank, dst.bank, now);
+            both(Command{CommandType::Act, src, 0}, now);
+            if (rng.below(2))
+                both(Command{CommandType::LisaRbm, src, 0}, now);
+            both(Command{CommandType::RowClone, dst, 0}, now);
+            both(Command{CommandType::Pre, dst, 0}, now);
+        }
+        expectSameChannels(fused, ref, now + 100);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(hits, 100);
+    EXPECT_GT(conflicts, 100);
+    EXPECT_GT(closed, 100);
+    EXPECT_GT(late_batch_writes, 20);
+    for (int r = 0; r < cfg.ranks; ++r) {
+        for (int k = 0; k < cfg.banks; ++k) {
+            for (int64_t row = 0; row < cfg.rows; ++row) {
+                ASSERT_EQ(fused.rowState(r, k, row),
+                          ref.rowState(r, k, row));
+            }
+        }
+    }
+}
+
+TEST(FusedAccess, MatchesPerCommandIssueOnDdr3)
+{
+    for (uint64_t seed : {1u, 2u, 3u})
+        checkFusedAccessMatchesPerCommand(DramConfig::ddr3_1600(64),
+                                          seed);
+}
+
+TEST(FusedAccess, MatchesPerCommandIssueOnTwoRankDdr4)
+{
+    for (uint64_t seed : {4u, 5u, 6u})
+        checkFusedAccessMatchesPerCommand(
+            DramConfig::ddr4_2400(128, 1, 2), seed);
+}
+
+TEST(FusedAccess, RejectsANonColumnCommand)
+{
+    DramChannel ch(smallConfig());
+    EXPECT_THROW(ch.issueAccess(cmd(CommandType::Act), 0, 0),
+                 PanicError);
+    EXPECT_THROW(ch.issueAccess(cmd(CommandType::Rd, 9), 0, 0),
+                 PanicError); // Bank out of range.
 }
 
 // --- Refresh engine. ---
