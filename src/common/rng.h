@@ -166,15 +166,40 @@ class Rng
     double
     gaussian()
     {
-        if (have_cached_) {
-            have_cached_ = false;
+        switch (cache_) {
+          case Cache::Value:
+            cache_ = Cache::Empty;
             return cached_;
+          case Cache::Uniforms:
+            cache_ = Cache::Empty;
+            return boxMuller(cached_, cached_u2_).second;
+          case Cache::Empty:
+            break;
         }
         const auto [u1, u2] = boxMullerUniforms();
         const auto [first, second] = boxMuller(u1, u2);
         cached_ = second;
-        have_cached_ = true;
+        cache_ = Cache::Value;
         return first;
+    }
+
+    /**
+     * Advance the stream exactly as gaussian() would, without the
+     * transform: a cached normal is dropped, otherwise a pair's
+     * uniforms are drawn and kept, so that a later gaussian() still
+     * returns the pair's second value, transformed on demand.
+     */
+    void
+    skipGaussian()
+    {
+        if (cache_ != Cache::Empty) {
+            cache_ = Cache::Empty;
+            return;
+        }
+        const auto [u1, u2] = boxMullerUniforms();
+        cached_ = u1;
+        cached_u2_ = u2;
+        cache_ = Cache::Uniforms;
     }
 
     /** Normal draw with explicit mean and standard deviation. */
@@ -202,9 +227,18 @@ class Rng
         return (x << k) | (x >> (64 - k));
     }
 
+    /** What the pending second normal of the last pair is held as. */
+    enum class Cache : uint8_t
+    {
+        Empty,    //!< None pending.
+        Value,    //!< cached_ is the normal.
+        Uniforms, //!< cached_, cached_u2_ are its (u1, u2).
+    };
+
     uint64_t s_[4] = {};
-    bool have_cached_ = false;
+    Cache cache_ = Cache::Empty;
     double cached_ = 0.0;
+    double cached_u2_ = 0.0;
 };
 
 } // namespace codic

@@ -257,24 +257,25 @@ DramSystem::totalCounts() const
 std::vector<OriginCounts>
 DramSystem::perOriginCounts() const
 {
-    // Merge the per-channel sorted vectors by origin tag. Iterating
-    // channels in index order and inserting sorted keeps the result
-    // independent of how submissions interleaved across channels.
-    std::vector<OriginCounts> out;
+    // Every channel's roll-ups, sorted by origin tag, then each run of
+    // one origin summed into its first entry. The sums and maxima do
+    // not depend on order, so neither does the result on how
+    // submissions interleaved across channels.
+    std::vector<OriginCounts> all;
     for (const auto &ctl : controllers_) {
-        for (const OriginCounts &oc : ctl->originCounts()) {
-            auto it = std::lower_bound(
-                out.begin(), out.end(), oc.origin,
-                [](const OriginCounts &c, uint64_t o) {
-                    return c.origin < o;
-                });
-            if (it == out.end() || it->origin != oc.origin) {
-                OriginCounts fresh;
-                fresh.origin = oc.origin;
-                it = out.insert(it, fresh);
-            }
-            *it += oc;
-        }
+        const std::vector<OriginCounts> counts = ctl->originCounts();
+        all.insert(all.end(), counts.begin(), counts.end());
+    }
+    std::sort(all.begin(), all.end(),
+              [](const OriginCounts &a, const OriginCounts &b) {
+                  return a.origin < b.origin;
+              });
+    std::vector<OriginCounts> out;
+    for (const OriginCounts &oc : all) {
+        if (out.empty() || out.back().origin != oc.origin)
+            out.push_back(oc);
+        else
+            out.back() += oc;
     }
     return out;
 }

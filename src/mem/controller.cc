@@ -495,19 +495,27 @@ MemoryController::serviceRequest(const MemTransaction &txn,
 OriginCounts &
 MemoryController::originSlot(uint64_t origin)
 {
-    if (last_origin_ < origin_counts_.size() &&
-        origin_counts_[last_origin_].origin == origin)
-        return origin_counts_[last_origin_];
-    auto it = std::lower_bound(
-        origin_counts_.begin(), origin_counts_.end(), origin,
-        [](const OriginCounts &c, uint64_t o) { return c.origin < o; });
-    if (it == origin_counts_.end() || it->origin != origin) {
-        OriginCounts fresh;
-        fresh.origin = origin;
-        it = origin_counts_.insert(it, fresh);
+    OriginMemo &memo = origin_memo_[(origin * 0x9e3779b97f4a7c15ULL) >>
+                                    (64 - kOriginMemoBits)];
+    if (memo.index == UINT32_MAX || memo.origin != origin) {
+        const auto [it, fresh] = origin_index_.try_emplace(
+            origin, static_cast<uint32_t>(origin_counts_.size()));
+        if (fresh)
+            origin_counts_.push_back(OriginCounts{.origin = origin});
+        memo = {origin, it->second};
     }
-    last_origin_ = static_cast<size_t>(it - origin_counts_.begin());
-    return *it;
+    return origin_counts_[memo.index];
+}
+
+std::vector<OriginCounts>
+MemoryController::originCounts() const
+{
+    std::vector<OriginCounts> out = origin_counts_;
+    std::sort(out.begin(), out.end(),
+              [](const OriginCounts &a, const OriginCounts &b) {
+                  return a.origin < b.origin;
+              });
+    return out;
 }
 
 bool

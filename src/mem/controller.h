@@ -57,6 +57,7 @@
 #define CODIC_MEM_CONTROLLER_H
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -217,10 +218,7 @@ class MemoryController : public MemoryService
      * iteration regardless of submission interleaving). Reads and
      * row ops are accounted when serviced, writes when accepted.
      */
-    const std::vector<OriginCounts> &originCounts() const
-    {
-        return origin_counts_;
-    }
+    std::vector<OriginCounts> originCounts() const;
 
     /**
      * Tickets with live bookkeeping (submitted, neither resolved nor
@@ -373,7 +371,7 @@ class MemoryController : public MemoryService
      */
     void serviceUrgentReads(Cycle not_before);
 
-    /** Roll-up slot for `origin`, inserted sorted on first use. */
+    /** Roll-up slot for `origin`, appended on first use. */
     OriginCounts &originSlot(uint64_t origin);
 
     /** Record a ticket's completion if it is still tracked. */
@@ -410,13 +408,24 @@ class MemoryController : public MemoryService
     /** Refresh commands injected per rank (REF or REFpb cadence). */
     std::vector<int64_t> refs_issued_;
     /**
-     * Per-origin roll-ups, kept sorted by origin tag. Origins are
-     * few (a handful of traffic classes), so the per-transaction
-     * lower_bound is a short probe over a hot vector.
+     * Per-origin roll-ups in first-use order; originCounts() sorts a
+     * copy. Origins may be many (fleet replay tags every transaction
+     * with its device id), so a lookup is O(1): a direct-mapped memo
+     * of recent origins, then the hash index, and a new origin is
+     * appended.
      */
     std::vector<OriginCounts> origin_counts_;
-    /** Index originSlot() returned last; tried before the search. */
-    size_t last_origin_ = 0;
+    /** Position of each origin in origin_counts_. */
+    std::unordered_map<uint64_t, uint32_t> origin_index_;
+    /** A recently used origin and its position in origin_counts_. */
+    struct OriginMemo
+    {
+        uint64_t origin = 0;
+        uint32_t index = UINT32_MAX; //!< UINT32_MAX: empty.
+    };
+    /** Memo slot of origin o: the top bits of o * 2^64 / phi. */
+    static constexpr int kOriginMemoBits = 6;
+    std::array<OriginMemo, size_t{1} << kOriginMemoBits> origin_memo_{};
     /** Pending (unissued) writes per bank, indexed by bankIndex(). */
     std::vector<uint32_t> bank_pending_;
     /**

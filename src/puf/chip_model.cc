@@ -60,17 +60,24 @@ drawPositions(Rng &rng, size_t count, int bits)
         pos.erase(std::unique(pos.begin(), pos.end()), pos.end());
         return pos;
     }
-    // The same draws marked in a bitmap; scanning it emits each
-    // position once, in ascending order.
+    // The same draws marked in a bitmap, and each marked word in a
+    // summary of one bit per word. The scan visits only the words
+    // the summary marks, so each position comes out once, in
+    // ascending order, without a pass over every word.
     std::vector<uint64_t> seen(words);
+    std::vector<uint64_t> touched(words / 64 + (words % 64 != 0));
     for (size_t i = 0; i < count; ++i) {
         const uint64_t p = rng.below(n);
         seen[p / 64] |= uint64_t{1} << (p % 64);
+        touched[p / 4096] |= uint64_t{1} << (p / 64 % 64);
     }
-    for (size_t w = 0; w < words; ++w)
-        for (uint64_t m = seen[w]; m != 0; m &= m - 1)
-            pos.push_back(
-                static_cast<uint32_t>(w * 64 + std::countr_zero(m)));
+    for (size_t t = 0; t < touched.size(); ++t)
+        for (uint64_t tm = touched[t]; tm != 0; tm &= tm - 1) {
+            const size_t w = t * 64 + std::countr_zero(tm);
+            for (uint64_t m = seen[w]; m != 0; m &= m - 1)
+                pos.push_back(
+                    static_cast<uint32_t>(w * 64 + std::countr_zero(m)));
+        }
     return pos;
 }
 
@@ -140,8 +147,8 @@ SimulatedChip::sigExtraCells(uint64_t segment_id, int segment_bits) const
 }
 
 std::vector<LatencyWeakCell>
-SimulatedChip::latencyWeakCells(uint64_t segment_id,
-                                int segment_bits) const
+SimulatedChip::latencyWeakCells(uint64_t segment_id, int segment_bits,
+                                bool temp_shifts) const
 {
     Rng rng = domainRng(kDomainLatency, segment_id);
     const size_t count =
@@ -149,8 +156,15 @@ SimulatedChip::latencyWeakCells(uint64_t segment_id,
     const auto positions = drawPositions(rng, count, segment_bits);
     std::vector<LatencyWeakCell> cells;
     cells.reserve(positions.size());
-    for (uint32_t p : positions)
-        cells.push_back({p, rng.uniform(), rng.gaussian(0.0, 1.0)});
+    for (uint32_t p : positions) {
+        const double strength = rng.uniform();
+        double shift = 0.0;
+        if (temp_shifts)
+            shift = rng.gaussian(0.0, 1.0);
+        else
+            rng.skipGaussian();
+        cells.push_back({p, strength, shift});
+    }
     return cells;
 }
 

@@ -65,7 +65,8 @@ struct LatencyWeakCell
     uint32_t index;    //!< Bit position within the segment.
     double strength;   //!< U(0,1); compared against theta(T).
     double temp_shift; //!< N(0, 1): strength drift with temperature,
-                       //!< scaled by the PUF's temp_shift_sigma.
+                       //!< scaled by the PUF's temp_shift_sigma;
+                       //!< 0 if built without temp_shifts.
 };
 
 /** Per-column record of the tRP-weak population. */
@@ -111,9 +112,16 @@ class SimulatedChip
     std::vector<SigCell> sigExtraCells(uint64_t segment_id,
                                        int segment_bits) const;
 
-    /** The tRCD-weak population of one segment. */
-    std::vector<LatencyWeakCell> latencyWeakCells(uint64_t segment_id,
-                                                  int segment_bits) const;
+    /**
+     * The tRCD-weak population of one segment. Without temp_shifts
+     * every temp_shift is 0: the normals are skipped but their
+     * uniforms still drawn (Rng::skipGaussian()), so index and
+     * strength are the same either way. A caller that only scales
+     * temp_shift by zero (30 C, or no drift) loses nothing.
+     */
+    std::vector<LatencyWeakCell>
+    latencyWeakCells(uint64_t segment_id, int segment_bits,
+                     bool temp_shifts = true) const;
 
     /** Chip-level weak columns (shared structure across segments). */
     std::vector<PrelatColumn> prelatChipColumns(int row_columns) const;
@@ -144,8 +152,8 @@ class SimulatedChip
  * Draw `count` uniform bit positions in [0, bits) with
  * rng.below(bits), one draw each, and return the distinct ones in
  * ascending order: sort + unique of the draws, computed without a
- * comparison sort once the draws are many. Every population above is
- * drawn with it.
+ * comparison sort, and without a pass over all `bits`, once the
+ * draws are many. Every population above is drawn with it.
  */
 std::vector<uint32_t> drawPositions(Rng &rng, size_t count, int bits);
 

@@ -50,6 +50,20 @@ query(const DramPuf &puf, const SimulatedChip &chip, uint64_t segment,
                     : puf.evaluate(chip, ch, env);
 }
 
+/**
+ * Jaccard index of two queries of one segment, answered by one
+ * evaluateEach() call so the PUF builds the population once.
+ */
+double
+pairedJaccard(const DramPuf &puf, const SimulatedChip &chip,
+              uint64_t segment, int bits, const QueryEnv (&envs)[2],
+              bool filtered)
+{
+    const auto r =
+        puf.evaluateEach(chip, Challenge{segment, bits}, envs, filtered);
+    return jaccard(r[0], r[1]);
+}
+
 } // namespace
 
 JaccardCampaignResult
@@ -71,15 +85,12 @@ runJaccardCampaign(const DramPuf &puf,
         Rng rng = streams[i];
         // Intra: same segment, two independent queries.
         auto [chip, segment] = pickSegment(rng, chips);
-        QueryEnv env1{config.temperature_c, false, rng.next64()};
-        QueryEnv env2{config.temperature_c, false, rng.next64()};
-        const Response a = query(puf, *chip, segment,
-                                 config.segment_bits, env1,
-                                 config.filtered);
-        const Response b = query(puf, *chip, segment,
-                                 config.segment_bits, env2,
-                                 config.filtered);
-        result.intra[i] = jaccard(a, b);
+        const QueryEnv envs[2] = {
+            {config.temperature_c, false, rng.next64()},
+            {config.temperature_c, false, rng.next64()}};
+        result.intra[i] = pairedJaccard(puf, *chip, segment,
+                                        config.segment_bits, envs,
+                                        config.filtered);
 
         // Inter: two distinct segments of one chip.
         auto [chip2, seg_a] = pickSegment(rng, chips);
@@ -111,13 +122,9 @@ runTemperatureCampaign(const DramPuf &puf,
     engine.forEach(pairs, [&](size_t i) {
         Rng rng = streams[i];
         auto [chip, segment] = pickSegment(rng, chips);
-        QueryEnv ref{30.0, false, rng.next64()};
-        QueryEnv hot{30.0 + delta_c, false, rng.next64()};
-        const Response a =
-            query(puf, *chip, segment, 65536, ref, true);
-        const Response b =
-            query(puf, *chip, segment, 65536, hot, true);
-        out[i] = jaccard(a, b);
+        const QueryEnv ref_hot[2] = {{30.0, false, rng.next64()},
+                                     {30.0 + delta_c, false, rng.next64()}};
+        out[i] = pairedJaccard(puf, *chip, segment, 65536, ref_hot, true);
     });
     return out;
 }
@@ -133,13 +140,10 @@ runAgingCampaign(const DramPuf &puf,
     engine.forEach(pairs, [&](size_t i) {
         Rng rng = streams[i];
         auto [chip, segment] = pickSegment(rng, chips);
-        QueryEnv fresh{30.0, false, rng.next64()};
-        QueryEnv aged{30.0, true, rng.next64()};
-        const Response a =
-            query(puf, *chip, segment, 65536, fresh, true);
-        const Response b =
-            query(puf, *chip, segment, 65536, aged, true);
-        out[i] = jaccard(a, b);
+        const QueryEnv fresh_aged[2] = {{30.0, false, rng.next64()},
+                                        {30.0, true, rng.next64()}};
+        out[i] =
+            pairedJaccard(puf, *chip, segment, 65536, fresh_aged, true);
     });
     return out;
 }
@@ -159,13 +163,12 @@ runAuthCampaign(const DramPuf &puf,
         Rng rng = streams[i];
         auto [chip, segment] = pickSegment(rng, chips);
         // Enrolled response vs. a later unfiltered query.
-        QueryEnv enroll{30.0, false, rng.next64()};
-        QueryEnv verify{30.0, false, rng.next64()};
-        const Response a =
-            query(puf, *chip, segment, 65536, enroll, false);
-        const Response b =
-            query(puf, *chip, segment, 65536, verify, false);
-        rejected[i] = !(a == b);
+        const QueryEnv enroll_verify[2] = {{30.0, false, rng.next64()},
+                                           {30.0, false, rng.next64()}};
+        const auto ab = puf.evaluateEach(*chip, Challenge{segment, 65536},
+                                         enroll_verify, false);
+        const Response &a = ab[0];
+        rejected[i] = !(a == ab[1]);
 
         // Impostor: response from a different segment.
         uint64_t other = rng.below(chip->segments());

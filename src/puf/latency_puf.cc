@@ -70,6 +70,16 @@ DramLatencyPuf::DramLatencyPuf(const LatencyPufParams &params)
     if (!(params_.width > 0.0) || !std::isfinite(params_.width))
         fatal("DRAM Latency PUF width must be positive and finite, got ",
               params_.width);
+    if (!(params_.temp_shift_sigma >= 0.0) ||
+        !std::isfinite(params_.temp_shift_sigma))
+        fatal("DRAM Latency PUF temp_shift_sigma must be finite and >= 0, "
+              "got ",
+              params_.temp_shift_sigma);
+    if (!std::isfinite(params_.theta_30c) ||
+        !std::isfinite(params_.theta_per_c))
+        fatal("DRAM Latency PUF theta_30c and theta_per_c must be finite, "
+              "got ",
+              params_.theta_30c, " and ", params_.theta_per_c);
     cut_logit_ = filterCut(params_);
 }
 
@@ -99,11 +109,52 @@ DramLatencyPuf::evaluate(const SimulatedChip &chip,
                          const Challenge &challenge,
                          const QueryEnv &env) const
 {
+    return evaluateEach(chip, challenge, {&env, 1}, false).front();
+}
+
+Response
+DramLatencyPuf::evaluateFiltered(const SimulatedChip &chip,
+                                 const Challenge &challenge,
+                                 const QueryEnv &env) const
+{
+    return evaluateEach(chip, challenge, {&env, 1}, true).front();
+}
+
+std::vector<Response>
+DramLatencyPuf::evaluateEach(const SimulatedChip &chip,
+                             const Challenge &challenge,
+                             std::span<const QueryEnv> envs,
+                             bool filtered) const
+{
+    // failureLogit() scales a cell's drift by
+    // temp_shift_sigma * (T - 30) / 55. At 30 C or with no drift that
+    // is +-0 (every operand is finite), and strength +- 0 is strength
+    // bit for bit, so the drift normals are drawn only if some env
+    // scales them by a nonzero amount.
+    const bool temp_shifts =
+        params_.temp_shift_sigma != 0.0 &&
+        std::any_of(envs.begin(), envs.end(), [](const QueryEnv &env) {
+            return env.temperature_c != 30.0;
+        });
+    const auto cells = chip.latencyWeakCells(
+        challenge.segment_id, challenge.segment_bits, temp_shifts);
+    std::vector<Response> out;
+    out.reserve(envs.size());
+    for (const QueryEnv &env : envs)
+        out.push_back(filtered ? readFiltered(chip, cells, env)
+                               : readPass(chip, cells, env));
+    return out;
+}
+
+Response
+DramLatencyPuf::readPass(const SimulatedChip &chip,
+                         const std::vector<LatencyWeakCell> &cells,
+                         const QueryEnv &env) const
+{
     // The population is sorted and unique, so the response is too.
     Rng noise = chip.domainRng(0x1A7, env.nonce ^ 0x5c4d);
     Response r;
-    for (const auto &cell : chip.latencyWeakCells(
-             challenge.segment_id, challenge.segment_bits)) {
+    for (const auto &cell : cells) {
         const double p = failureProbability(cell, env.temperature_c);
         if (noise.chance(p))
             r.cells.push_back(cell.index);
@@ -112,9 +163,9 @@ DramLatencyPuf::evaluate(const SimulatedChip &chip,
 }
 
 Response
-DramLatencyPuf::evaluateFiltered(const SimulatedChip &chip,
-                                 const Challenge &challenge,
-                                 const QueryEnv &env) const
+DramLatencyPuf::readFiltered(const SimulatedChip &chip,
+                             const std::vector<LatencyWeakCell> &cells,
+                             const QueryEnv &env) const
 {
     // Binomial(reads, p) failure count, via the normal approximation
     // with continuity correction (the filter only cares about the
@@ -125,8 +176,6 @@ DramLatencyPuf::evaluateFiltered(const SimulatedChip &chip,
     // cannot pass: its uniforms are drawn to keep the stream in step,
     // and the transform, exp and sqrt are skipped.
     Rng noise = chip.domainRng(0x1A7F, env.nonce ^ 0x77aa);
-    const auto cells = chip.latencyWeakCells(challenge.segment_id,
-                                             challenge.segment_bits);
     const double n = static_cast<double>(params_.reads);
     Response r;
     const auto filter = [&](const LatencyWeakCell &cell, double z,

@@ -20,6 +20,8 @@
 #ifndef CODIC_PUF_LATENCY_PUF_H
 #define CODIC_PUF_LATENCY_PUF_H
 
+#include <vector>
+
 #include "puf/chip_model.h"
 #include "puf/puf.h"
 
@@ -42,8 +44,9 @@ class DramLatencyPuf : public DramPuf
   public:
     /**
      * @throws FatalError if reads < 1, if filter_threshold lies
-     *         outside [0, reads), or if width is not a positive
-     *         finite number.
+     *         outside [0, reads), if width is not a positive finite
+     *         number, if temp_shift_sigma is negative or not finite,
+     *         or if theta_30c or theta_per_c is not finite.
      */
     explicit DramLatencyPuf(const LatencyPufParams &params = {});
 
@@ -58,6 +61,16 @@ class DramLatencyPuf : public DramPuf
     Response evaluateFiltered(const SimulatedChip &chip,
                               const Challenge &challenge,
                               const QueryEnv &env) const override;
+
+    /**
+     * Each env's read pass or filter over one shared population. Its
+     * temperature drifts are drawn only if some env is off 30 C and
+     * temp_shift_sigma != 0: otherwise every drift is scaled by zero.
+     */
+    std::vector<Response> evaluateEach(const SimulatedChip &chip,
+                                       const Challenge &challenge,
+                                       std::span<const QueryEnv> envs,
+                                       bool filtered) const override;
 
     int passesPerEvaluation(bool filtered) const override;
 
@@ -78,6 +91,16 @@ class DramLatencyPuf : public DramPuf
     /** Logistic argument z: failure probability 1 / (1 + e^-z). */
     double failureLogit(const LatencyWeakCell &cell,
                         double temperature_c) const;
+
+    /** One noisy read pass over a segment's population. */
+    Response readPass(const SimulatedChip &chip,
+                      const std::vector<LatencyWeakCell> &cells,
+                      const QueryEnv &env) const;
+
+    /** The read filter over a segment's population. */
+    Response readFiltered(const SimulatedChip &chip,
+                          const std::vector<LatencyWeakCell> &cells,
+                          const QueryEnv &env) const;
 
     LatencyPufParams params_;
     double cut_logit_;

@@ -66,20 +66,22 @@ class PrelatPuf : public DramPuf
                               const Challenge &challenge,
                               const QueryEnv &env) const override;
 
+    /**
+     * Strict majority over the noise passes of each env. The
+     * segment's weak columns are built once and shared by every env
+     * and pass.
+     */
+    std::vector<Response> evaluateEach(const SimulatedChip &chip,
+                                       const Challenge &challenge,
+                                       std::span<const QueryEnv> envs,
+                                       bool filtered) const override;
+
     int passesPerEvaluation(bool filtered) const override;
 
     /** Relative cost of one pass vs. a plain read pass. */
     double passCost() const { return params_.pass_cost; }
 
   private:
-    /**
-     * Strict majority over one noise pass per nonce. The segment
-     * population is built once and shared by every pass.
-     */
-    Response respond(const SimulatedChip &chip, const Challenge &challenge,
-                     const QueryEnv &env,
-                     const std::vector<uint64_t> &nonces) const;
-
     PrelatPufParams params_;
 };
 

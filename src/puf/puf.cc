@@ -50,4 +50,16 @@ DramPuf::evaluateFiltered(const SimulatedChip &chip,
     return evaluate(chip, challenge, env);
 }
 
+std::vector<Response>
+DramPuf::evaluateEach(const SimulatedChip &chip, const Challenge &challenge,
+                      std::span<const QueryEnv> envs, bool filtered) const
+{
+    std::vector<Response> out;
+    out.reserve(envs.size());
+    for (const QueryEnv &env : envs)
+        out.push_back(filtered ? evaluateFiltered(chip, challenge, env)
+                               : evaluate(chip, challenge, env));
+    return out;
+}
+
 } // namespace codic

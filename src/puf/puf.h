@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -107,6 +108,18 @@ class DramPuf
     virtual Response evaluateFiltered(const SimulatedChip &chip,
                                       const Challenge &challenge,
                                       const QueryEnv &env) const;
+
+    /**
+     * Evaluate one challenge once per env, in order: response i is
+     * what evaluateFiltered(chip, challenge, envs[i]) returns, or
+     * evaluate() if !filtered. The default makes exactly those
+     * calls. A PUF overrides it to build the segment's population
+     * once for every env, and answers its single queries through it.
+     */
+    virtual std::vector<Response> evaluateEach(const SimulatedChip &chip,
+                                               const Challenge &challenge,
+                                               std::span<const QueryEnv> envs,
+                                               bool filtered) const;
 
     /** Number of raw segment passes one evaluation costs (Table 4). */
     virtual int passesPerEvaluation(bool filtered) const = 0;

@@ -76,17 +76,19 @@ class CodicSigPuf : public DramPuf
                               const Challenge &challenge,
                               const QueryEnv &env) const override;
 
+    /**
+     * Strict majority over the noise passes of each env. The
+     * segment's flip cells (and its extra cells, if some env is hot)
+     * are built once and shared by every env and pass.
+     */
+    std::vector<Response> evaluateEach(const SimulatedChip &chip,
+                                       const Challenge &challenge,
+                                       std::span<const QueryEnv> envs,
+                                       bool filtered) const override;
+
     int passesPerEvaluation(bool filtered) const override;
 
   private:
-    /**
-     * Strict majority over one noise pass per nonce. The segment
-     * population is built once and shared by every pass.
-     */
-    Response respond(const SimulatedChip &chip, const Challenge &challenge,
-                     const QueryEnv &env,
-                     const std::vector<uint64_t> &nonces) const;
-
     SigPufParams params_;
 };
 

@@ -231,11 +231,10 @@ exactMatchFrr(const DramPuf &puf,
         const SimulatedChip *chip =
             chips[static_cast<size_t>(rng.below(chips.size()))];
         Challenge ch{rng.below(chip->segments()), 65536};
-        const Response a = puf.evaluateFiltered(
-            *chip, ch, {30.0, false, rng.next64()});
-        const Response b = puf.evaluateFiltered(
-            *chip, ch, {30.0, false, rng.next64()});
-        if (!(a == b))
+        const QueryEnv envs[2] = {{30.0, false, rng.next64()},
+                                  {30.0, false, rng.next64()}};
+        const auto ab = puf.evaluateEach(*chip, ch, envs, true);
+        if (!(ab[0] == ab[1]))
             ++mismatches;
     }
     return static_cast<double>(mismatches) /

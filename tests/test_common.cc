@@ -153,6 +153,51 @@ TEST(Rng, GaussianRadiusBoundsEveryTransform)
         EXPECT_LE(std::fabs(rng.gaussian()), kGaussianRadius);
 }
 
+TEST(Rng, SkipGaussianKeepsStreamInStep)
+{
+    // Random interleavings of every draw, where `skip` replaces some
+    // of plain's gaussian() calls with skipGaussian(). `pending`
+    // tracks whether a pair's second normal is cached, so the skips
+    // are counted from both cache states.
+    size_t skips_from[2] = {0, 0};
+    for (uint64_t seed = 1; seed <= 50; ++seed) {
+        Rng skip(seed), plain(seed), ops(seed + 1000);
+        bool pending = false;
+        for (int i = 0; i < 2000; ++i) {
+            switch (ops.below(5)) {
+              case 0:
+                ASSERT_EQ(skip.next64(), plain.next64());
+                break;
+              case 1:
+                ASSERT_EQ(skip.uniform(), plain.uniform());
+                break;
+              case 2:
+                ASSERT_EQ(skip.gaussian(), plain.gaussian());
+                pending = !pending;
+                break;
+              default:
+                ++skips_from[pending];
+                skip.skipGaussian();
+                plain.gaussian();
+                pending = !pending;
+                break;
+            }
+        }
+        EXPECT_EQ(skip.gaussian(), plain.gaussian());
+        EXPECT_EQ(skip.next64(), plain.next64());
+    }
+    EXPECT_GT(skips_from[0], 2000u);
+    EXPECT_GT(skips_from[1], 2000u);
+
+    // From an empty cache the skip keeps the pair's uniforms, and the
+    // next gaussian() turns them into the pair's second value.
+    Rng a(7), b(7);
+    a.skipGaussian();
+    const auto [u1, u2] = b.boxMullerUniforms();
+    EXPECT_EQ(a.gaussian(), boxMuller(u1, u2).second);
+    EXPECT_EQ(a.next64(), b.next64());
+}
+
 TEST(Rng, ChanceProbability)
 {
     Rng rng(15);

@@ -8,6 +8,7 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -202,13 +203,19 @@ expectDrawMatchesSortUnique(uint64_t seed, size_t count, int bits)
 
 TEST(ChipModel, DrawPositionsMatchesSortUnique)
 {
+    // The bitmap keeps one summary bit per 64-bit word. 4,097, 65,600
+    // and 100,000 bits end in a partial bitmap word and a partial
+    // summary word (65, 1,025 and 1,563 words); 12,288 bits fill
+    // three summary words exactly.
+    const int bit_counts[] = {1,    63,   64,    65,    1000,
+                              4097, 12288, 65536, 65600, 100000};
     // Every count 0-2,000 covers both sides of the sort/bitmap switch
     // and bitmaps from sparse to saturated.
-    for (int bits : {1, 63, 64, 65, 1000, 65536})
+    for (int bits : bit_counts)
         for (size_t count = 0; count <= 2000; ++count)
             expectDrawMatchesSortUnique(count * 7919 + bits, count, bits);
     // Many seeds around the switch and at population-typical counts.
-    for (int bits : {1, 63, 64, 65, 1000, 65536})
+    for (int bits : bit_counts)
         for (size_t count : {0, 1, 2, 7, 12, 62, 63, 64, 65, 66, 145, 500,
                              786})
             for (uint64_t seed = 1; seed <= 40; ++seed)
@@ -567,6 +574,181 @@ TEST_F(PopulationFixture, LatencyFilterMatchesPlainPerCellLoop)
     EXPECT_GT(cut, cells / 4);
 }
 
+TEST_F(PopulationFixture, LatencyWeakCellsWithoutShiftsKeepIndexAndStrength)
+{
+    // Without shifts, each cell's drift normal is skipped instead of
+    // drawn; its uniforms are still drawn, so every later strength
+    // comes from the same place in the stream
+    // (Rng.SkipGaussianKeepsStreamInStep checks the skip from both
+    // cache states).
+    size_t odd = 0;
+    size_t even = 0;
+    for (size_t c : {0, 5, 70, 120}) {
+        const SimulatedChip &chip = (*chips_)[c];
+        for (uint64_t seg = 0; seg < 40; ++seg) {
+            for (int bits : {65536, 4097, 300, 1}) {
+                const auto with = chip.latencyWeakCells(seg, bits);
+                const auto without = chip.latencyWeakCells(seg, bits, false);
+                ASSERT_EQ(with.size(), without.size());
+                for (size_t i = 0; i < with.size(); ++i) {
+                    EXPECT_EQ(with[i].index, without[i].index);
+                    EXPECT_EQ(with[i].strength, without[i].strength);
+                    EXPECT_EQ(without[i].temp_shift, 0.0);
+                }
+                ++(with.size() % 2 ? odd : even);
+            }
+        }
+    }
+    EXPECT_GT(odd, 50u);
+    EXPECT_GT(even, 50u);
+}
+
+/** A decorator that overrides only the single-query methods. */
+class CountingPuf : public DramPuf
+{
+  public:
+    explicit CountingPuf(const DramPuf &inner) : inner_(inner) {}
+
+    /** Single queries so far; campaigns may call from many threads. */
+    mutable std::atomic<size_t> calls = 0;
+
+    const char *name() const override { return inner_.name(); }
+
+    Response
+    evaluate(const SimulatedChip &chip, const Challenge &challenge,
+             const QueryEnv &env) const override
+    {
+        ++calls;
+        return inner_.evaluate(chip, challenge, env);
+    }
+
+    Response
+    evaluateFiltered(const SimulatedChip &chip, const Challenge &challenge,
+                     const QueryEnv &env) const override
+    {
+        ++calls;
+        return inner_.evaluateFiltered(chip, challenge, env);
+    }
+
+    int
+    passesPerEvaluation(bool filtered) const override
+    {
+        return inner_.passesPerEvaluation(filtered);
+    }
+
+  private:
+    const DramPuf &inner_;
+};
+
+TEST_F(PopulationFixture, EvaluateEachMatchesSingleQueries)
+{
+    // One call builds the population once for all of its envs. Each
+    // response must still be that env's single query, whatever else
+    // the call asks: a hot env makes the Latency PUF draw its drifts
+    // and the Sig PUF its extra cells for the whole call.
+    const DramLatencyPuf latency;
+    const PrelatPuf prelat;
+    const CodicSigPuf sig;
+    const std::vector<std::vector<QueryEnv>> calls = {
+        {},
+        {{30.0, false, 1}},
+        {{30.0, false, 1}, {30.0, false, 2}},
+        {{30.0, false, 3}, {30.0, true, 4}},
+        {{55.0, false, 5}, {55.0, false, 6}},
+        {{85.0, true, 7}},
+        {{30.0, false, 8}, {85.0, false, 9}, {55.0, true, 10},
+         {30.0, false, 8}},
+    };
+    std::vector<const SimulatedChip *> chips;
+    for (bool ddr3l : {false, true}) {
+        const auto group = filterByVoltage(*chips_, ddr3l);
+        chips.push_back(group[0]);
+        chips.push_back(group[9]);
+    }
+    const Challenge challenges[] = {{0, 65536}, {13, 65536}, {42, 4097}};
+    size_t cells = 0;
+    for (const DramPuf *puf :
+         std::initializer_list<const DramPuf *>{&latency, &prelat, &sig}) {
+        const CountingPuf decorated(*puf);
+        for (const SimulatedChip *chip : chips) {
+            for (const Challenge &ch : challenges) {
+                for (bool filtered : {false, true}) {
+                    for (const auto &envs : calls) {
+                        SCOPED_TRACE(testing::Message()
+                                     << puf->name() << " seg "
+                                     << ch.segment_id << " filtered "
+                                     << filtered << " envs "
+                                     << envs.size());
+                        const auto got =
+                            puf->evaluateEach(*chip, ch, envs, filtered);
+                        ASSERT_EQ(got.size(), envs.size());
+                        for (size_t i = 0; i < envs.size(); ++i) {
+                            const Response want =
+                                filtered ? puf->evaluateFiltered(*chip, ch,
+                                                                 envs[i])
+                                         : puf->evaluate(*chip, ch,
+                                                         envs[i]);
+                            EXPECT_EQ(got[i], want) << "env " << i;
+                            cells += got[i].size();
+                            if (puf == &latency)
+                                EXPECT_EQ(
+                                    got[i],
+                                    filtered
+                                        ? referenceLatencyFiltered(
+                                              {}, *chip, ch, envs[i])
+                                        : referenceLatencyRaw({}, *chip, ch,
+                                                              envs[i]));
+                        }
+                        // The decorator inherits the default: one
+                        // single query per env, the same responses.
+                        decorated.calls = 0;
+                        EXPECT_EQ(decorated.evaluateEach(*chip, ch, envs,
+                                                         filtered),
+                                  got);
+                        EXPECT_EQ(decorated.calls.load(), envs.size());
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(cells, 10000u);
+}
+
+TEST_F(PopulationFixture, CampaignsThroughADecoratorMatchThePuf)
+{
+    // The campaigns route their paired queries through evaluateEach();
+    // a decorator that only sees single queries must give the same
+    // numbers and see every evaluation.
+    const std::vector<const SimulatedChip *> chips = all();
+    const DramLatencyPuf latency;
+    const PrelatPuf prelat;
+    const CodicSigPuf sig;
+    for (const DramPuf *puf :
+         std::initializer_list<const DramPuf *>{&latency, &prelat, &sig}) {
+        SCOPED_TRACE(puf->name());
+        const CountingPuf decorated(*puf);
+        JaccardCampaignConfig cfg;
+        cfg.pairs = 60;
+        for (bool filtered : {false, true}) {
+            cfg.filtered = filtered;
+            const auto want = runJaccardCampaign(*puf, chips, cfg);
+            decorated.calls = 0;
+            const auto got = runJaccardCampaign(decorated, chips, cfg);
+            EXPECT_EQ(got.intra, want.intra);
+            EXPECT_EQ(got.inter, want.inter);
+            EXPECT_EQ(decorated.calls.load(), 4 * cfg.pairs);
+        }
+        EXPECT_EQ(runTemperatureCampaign(decorated, chips, 55.0, 40, {}),
+                  runTemperatureCampaign(*puf, chips, 55.0, 40, {}));
+        EXPECT_EQ(runAgingCampaign(decorated, chips, 40, {}),
+                  runAgingCampaign(*puf, chips, 40, {}));
+        const AuthRates a = runAuthCampaign(decorated, chips, 40, {});
+        const AuthRates b = runAuthCampaign(*puf, chips, 40, {});
+        EXPECT_EQ(a.false_rejection, b.false_rejection);
+        EXPECT_EQ(a.false_acceptance, b.false_acceptance);
+    }
+}
+
 // Worst case of the filter for a cell with logistic argument z: the
 // filter's own arithmetic with the largest normal an Rng can draw.
 long long
@@ -631,10 +813,23 @@ TEST(LatencyPuf, ConstructorRejectsInvalidParams)
     EXPECT_THROW(
         DramLatencyPuf(with([](auto &p) { p.filter_threshold = 100; })),
         FatalError);
-    for (double width : {0.0, -0.08, std::numeric_limits<double>::infinity(),
-                         std::numeric_limits<double>::quiet_NaN()})
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    for (double width : {0.0, -0.08, kInf, kNaN})
         EXPECT_THROW(DramLatencyPuf(with([&](auto &p) { p.width = width; })),
                      FatalError);
+    for (double sigma : {-1.2, -0x1.0p-1074, -kInf, kInf, kNaN})
+        EXPECT_THROW(DramLatencyPuf(
+                         with([&](auto &p) { p.temp_shift_sigma = sigma; })),
+                     FatalError);
+    for (double theta : {-kInf, kInf, kNaN}) {
+        EXPECT_THROW(
+            DramLatencyPuf(with([&](auto &p) { p.theta_30c = theta; })),
+            FatalError);
+        EXPECT_THROW(
+            DramLatencyPuf(with([&](auto &p) { p.theta_per_c = theta; })),
+            FatalError);
+    }
     // The edges of the valid range construct.
     EXPECT_NO_THROW(DramLatencyPuf(with([](auto &p) {
         p.reads = 1;
@@ -642,6 +837,12 @@ TEST(LatencyPuf, ConstructorRejectsInvalidParams)
     })));
     EXPECT_NO_THROW(
         DramLatencyPuf(with([](auto &p) { p.filter_threshold = 99; })));
+    EXPECT_NO_THROW(
+        DramLatencyPuf(with([](auto &p) { p.temp_shift_sigma = 0.0; })));
+    EXPECT_NO_THROW(DramLatencyPuf(with([](auto &p) {
+        p.theta_30c = -0.5;
+        p.theta_per_c = -0.01;
+    })));
 }
 
 TEST(PufPasses, PassCountsMatchMechanisms)

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -802,6 +803,86 @@ TEST(Transaction, PerOriginCountsSumToChannelTotals)
     EXPECT_GT(origins[1].read_latency_cycles, 0u);
     EXPECT_GE(origins[1].max_read_latency,
               origins[1].read_latency_cycles / origins[1].reads);
+}
+
+// Random origin streams against a std::map roll-up: thousands of
+// origins (as fleet replay's device ids give), long runs of one
+// origin, and the 0 and ~0 tags. Reads and row ops complete at an
+// empty queue, so each one's latency is its completion - arrival.
+TEST(Transaction, PerOriginCountsMatchMapReference)
+{
+    const auto streams = {"wide", "dense", "runs", "strided"};
+    for (const std::string stream : streams) {
+        for (int channels : {1, 2}) {
+            SCOPED_TRACE(stream + ", " + std::to_string(channels) +
+                         " channel(s)");
+            const DramConfig c = DramConfig::ddr3_1600(256, channels);
+            ControllerConfig cc;
+            if (channels > 1)
+                cc.map_scheme = MapScheme::RowBankColumnChannel;
+            DramSystem sys(c, cc);
+            Rng rng(channels * 101 + stream.size());
+            std::vector<uint64_t> pool(3000);
+            for (uint64_t &o : pool)
+                o = rng.next64();
+            pool[0] = 0;
+            pool[1] = ~uint64_t{0};
+            uint64_t run_origin = 0;
+            int run_left = 0;
+            const auto origin = [&]() -> uint64_t {
+                if (stream == "wide")
+                    return pool[rng.below(pool.size())];
+                if (stream == "dense")
+                    return rng.below(5000);
+                if (stream == "strided")
+                    return rng.below(1000) * 64;
+                if (run_left-- <= 0) {
+                    run_origin = pool[rng.below(pool.size())];
+                    run_left = static_cast<int>(rng.below(40));
+                }
+                return run_origin;
+            };
+            std::map<uint64_t, OriginCounts> want;
+            Cycle now = 0;
+            for (int i = 0; i < 20000; ++i) {
+                now += static_cast<Cycle>(rng.below(32));
+                const uint64_t addr = rng.below(uint64_t{1} << 20) * 64;
+                const uint64_t o = origin();
+                OriginCounts &w = want[o];
+                w.origin = o;
+                const uint64_t pick = rng.below(100);
+                if (pick < 25) {
+                    sys.retire(
+                        sys.submit(MemTransaction::makeWrite(addr, now, o)));
+                    ++w.writes;
+                } else if (pick < 85) {
+                    const Cycle done =
+                        sys.complete(MemTransaction::makeRead(addr, now, o));
+                    ++w.reads;
+                    w.read_latency_cycles +=
+                        static_cast<uint64_t>(done - now);
+                    w.max_read_latency =
+                        std::max(w.max_read_latency, done - now);
+                } else {
+                    const Cycle done = sys.complete(MemTransaction::makeRowOp(
+                        addr, now, RowOpMechanism::CodicDet, 0, o));
+                    ++w.rowops;
+                    w.rowop_latency_cycles +=
+                        static_cast<uint64_t>(done - now);
+                }
+            }
+            sys.drainAll();
+            std::vector<OriginCounts> expected;
+            for (const auto &entry : want)
+                expected.push_back(entry.second);
+            EXPECT_GT(expected.size(), 500u);
+            EXPECT_EQ(flattenOrigins(sys.perOriginCounts()),
+                      flattenOrigins(expected));
+            if (channels == 1)
+                EXPECT_EQ(flattenOrigins(sys.controller(0).originCounts()),
+                          flattenOrigins(expected));
+        }
+    }
 }
 
 TEST(Transaction, PerBankRefreshTracksTrefipbPerBank)
