@@ -310,7 +310,7 @@ DramChannel::noteIssue(Cycle t)
 {
 #ifndef NDEBUG
     // Ownership rule (class comment): a channel is confined to the
-    // thread that first issues on it until debugReleaseOwner().
+    // thread that first issues on it.
     if (!owner_bound_) {
         owner_bound_ = true;
         owner_ = std::this_thread::get_id();

@@ -122,7 +122,7 @@ CommandCounts operator+(CommandCounts a, const CommandCounts &b);
  * its own chips/channels and never shares one across tasks. Debug
  * builds enforce this: the first issue() binds the channel to the
  * calling thread, and any later issue() from a different thread
- * panics (see debugReleaseOwner() for the rare legal hand-off).
+ * panics.
  */
 class DramChannel
 {
@@ -147,13 +147,6 @@ class DramChannel
 
     /** Index of this channel within its module. */
     int channelId() const { return channel_id_; }
-
-    /**
-     * Release the debug-mode thread-ownership binding so the channel
-     * may legally move to another thread (e.g. a campaign result
-     * collected by the coordinating thread). The next issue() rebinds.
-     */
-    void debugReleaseOwner() { owner_bound_ = false; }
 
     /**
      * Register a CODIC variant (models programming the four CODIC

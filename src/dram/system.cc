@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "trace/recorder.h"
 
 namespace codic {
@@ -147,48 +146,6 @@ DramSystem::drainAll()
     for (auto &mc : controllers_)
         last = std::max(last, mc->drainAll());
     return last;
-}
-
-Cycle
-DramSystem::drainAllOn(CampaignEngine &engine)
-{
-    if (engine.threads() <= 1 || channelCount() <= 1)
-        return drainAll();
-    // Legal thread hand-off (DramChannel class comment): release the
-    // coordinating thread's ownership so each engine worker may bind
-    // its channel, and release again afterwards so later serial
-    // stepping on this thread rebinds cleanly.
-    for (auto &ch : channels_)
-        ch->debugReleaseOwner();
-    std::vector<Cycle> per_channel(channels_.size(), 0);
-    engine.forEach(channels_.size(), [&](size_t i) {
-        per_channel[i] = controllers_[i]->drainAll();
-        channels_[i]->debugReleaseOwner();
-    });
-    // Reduce in channel-index order: byte-identical at any thread
-    // count.
-    Cycle last = 0;
-    for (Cycle c : per_channel)
-        last = std::max(last, c);
-    return last;
-}
-
-size_t
-DramSystem::pollOn(CampaignEngine &engine, Cycle now)
-{
-    if (engine.threads() <= 1 || channelCount() <= 1)
-        return poll(now);
-    for (auto &ch : channels_)
-        ch->debugReleaseOwner();
-    std::vector<size_t> per_channel(channels_.size(), 0);
-    engine.forEach(channels_.size(), [&](size_t i) {
-        per_channel[i] = controllers_[i]->poll(now);
-        channels_[i]->debugReleaseOwner();
-    });
-    size_t serviced = 0;
-    for (size_t n : per_channel)
-        serviced += n;
-    return serviced;
 }
 
 size_t

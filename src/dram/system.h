@@ -30,8 +30,6 @@
 
 namespace codic {
 
-class CampaignEngine;
-
 /** N-channel DRAM module with per-channel controllers. */
 class DramSystem : public MemoryService
 {
@@ -91,21 +89,6 @@ class DramSystem : public MemoryService
      * writes; max quiescence cycle across channels.
      */
     Cycle drainAll() override;
-
-    /**
-     * drainAll() with the independent channels stepped as campaign
-     * tasks: each channel's controller drains on its own engine
-     * worker (channels share no timing state, so this is the
-     * no-communication parallelism the channel ownership model was
-     * built for). Results reduce in channel-index order, so the
-     * returned cycle - and every byte of downstream output - is
-     * identical at any thread count; a 1-thread engine or a 1-channel
-     * module falls back to the serial path outright.
-     */
-    Cycle drainAllOn(CampaignEngine &engine);
-
-    /** poll() with channels stepped as campaign tasks (see above). */
-    size_t pollOn(CampaignEngine &engine, Cycle now);
 
     /** Queued transactions summed over every channel. */
     size_t inFlightCount() const override;

@@ -10,6 +10,7 @@
 #include "common/stats.h"
 #include "dram/system.h"
 #include "puf/response_time.h"
+#include "sim/engine.h"
 
 namespace codic {
 
@@ -788,30 +789,30 @@ AuthService::runShard(Execution &exec, size_t shard)
                 admit(cur, key);
             }
             // Multi-ticket poll loop: every active cursor keeps one
-            // transaction in flight, and tickets resolve in ascending
-            // arrival order (a cursor's clock IS its in-flight
-            // arrival). Resolving the earliest ticket first matters:
-            // channel horizons only move forward, so issuing a
-            // late-arrival command ahead of an earlier one would
-            // penalize the earlier one with the later command's bus
-            // state. With this order the transaction queue issues the
-            // slice's commands in exactly the near-global-time
-            // interleave the old discrete-event loop produced.
+            // transaction in flight, and the earliest-first rule
+            // resolves tickets in ascending arrival order (a cursor's
+            // clock IS its in-flight arrival). Resolving the earliest
+            // ticket first matters: channel horizons only move
+            // forward, so issuing a late-arrival command ahead of an
+            // earlier one would penalize the earlier one with the
+            // later command's bus state. With this order the
+            // transaction queue issues the slice's commands in
+            // near-global-time order.
             for (auto &c : cursors)
                 if (!c.done())
                     c.submitNext(sys);
-            while (true) {
-                ReplayCursor *next = nullptr;
-                for (auto &c : cursors)
-                    if (c.in_flight != kInvalidTicket &&
-                        (!next || c.now < next->now))
-                        next = &c;
-                if (!next)
-                    break;
-                next->harvest(sys);
-                if (!next->done())
-                    next->submitNext(sys);
-            }
+            stepEarliestFirst(
+                cursors.size(),
+                [&](size_t i) {
+                    return cursors[i].in_flight != kInvalidTicket;
+                },
+                [&](size_t i) { return cursors[i].now; },
+                [&](size_t i) {
+                    ReplayCursor &c = cursors[i];
+                    c.harvest(sys);
+                    if (!c.done())
+                        c.submitNext(sys);
+                });
             Cycle slice_end = slice_start;
             for (const auto &c : cursors) {
                 // Replay latency of the request: every cursor of the

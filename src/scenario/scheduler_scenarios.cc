@@ -16,8 +16,7 @@
  * (seed, scale). The sweeps pin their own policy values, so --sched
  * does not change this scenario's output; the fleet sweep also pins
  * its shard count (4), so --shards does not either. The module-step
- * sweeps drain channels as campaign tasks but reduce per-channel
- * results in index order, so --threads does not change output.
+ * sweeps run serially, so --threads does not change output.
  */
 
 #include "scenario/builtin.h"
@@ -43,12 +42,6 @@ runAblationScheduler(RunContext &ctx)
 {
     const int64_t capacity_mb = ctx.options().capacityMbOr(256);
     const int channels = ctx.options().channelsOr(1);
-    // Channel-parallel stepping: with --channels > 1 the workload
-    // drains step each independent channel as an engine task. The
-    // per-channel results reduce in index order, so every structured
-    // row stays byte-identical at any --threads value (the scenario
-    // determinism suite pins this).
-    CampaignEngine engine(ctx.options().threads);
 
     // --- Sweep 1: drain watermarks vs data-bus turnarounds. ---
     {
@@ -62,8 +55,7 @@ runAblationScheduler(RunContext &ctx)
             cfg.scheduler.drain_high_pct = p.high;
             cfg.scheduler.drain_low_pct = p.low;
             DramSystem sys(cfg);
-            const Cycle done =
-                runTurnaroundWorkload(sys, ops, &engine);
+            const Cycle done = runTurnaroundWorkload(sys, ops);
             const CommandCounts counts = sys.totalCounts();
             ctx.row("write-drain watermarks vs bus turnarounds",
                     ResultRow()
@@ -95,8 +87,7 @@ runAblationScheduler(RunContext &ctx)
             cfg.scheduler = SchedulerPolicy::preset("batched");
             cfg.scheduler.max_drain_batch = batch;
             DramSystem sys(cfg);
-            const Cycle done =
-                runRowHitWorkload(sys, writes, &engine);
+            const Cycle done = runRowHitWorkload(sys, writes);
             const CommandCounts counts = sys.totalCounts();
             ctx.row("row-hit drain batch vs activations",
                     ResultRow()

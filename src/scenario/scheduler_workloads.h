@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/parallel.h"
 #include "dram/system.h"
 
 namespace codic {
@@ -22,14 +21,9 @@ namespace codic {
  * 0..3, reads sweep rows of banks 4..7 (so no read ever lands on a
  * row with buffered writes and write drains are purely
  * policy-scheduled). Returns the drain completion cycle.
- *
- * With `engine` set, the final drain steps the module's independent
- * channels as campaign tasks (DramSystem::drainAllOn); output is
- * byte-identical at any thread count.
  */
 inline Cycle
-runTurnaroundWorkload(DramSystem &sys, int64_t ops,
-                      CampaignEngine *engine = nullptr)
+runTurnaroundWorkload(DramSystem &sys, int64_t ops)
 {
     const DramConfig &cfg = sys.config();
     const int64_t row_bytes = cfg.row_bytes;
@@ -50,7 +44,7 @@ runTurnaroundWorkload(DramSystem &sys, int64_t ops,
                  t);
         t += 8;
     }
-    return engine ? sys.drainAllOn(*engine) : sys.drainAll();
+    return sys.drainAll();
 }
 
 /**
@@ -59,8 +53,7 @@ runTurnaroundWorkload(DramSystem &sys, int64_t ops,
  * row-hit batch drain coalesces the queue's same-row writes.
  */
 inline Cycle
-runRowHitWorkload(DramSystem &sys, int64_t writes,
-                  CampaignEngine *engine = nullptr)
+runRowHitWorkload(DramSystem &sys, int64_t writes)
 {
     const DramConfig &cfg = sys.config();
     const int64_t row_bytes = cfg.row_bytes;
@@ -73,7 +66,7 @@ runRowHitWorkload(DramSystem &sys, int64_t writes,
                   t);
         t += 4;
     }
-    return engine ? sys.drainAllOn(*engine) : sys.drainAll();
+    return sys.drainAll();
 }
 
 /**

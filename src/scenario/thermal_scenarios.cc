@@ -29,9 +29,11 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <vector>
 
+#include "common/logging.h"
 #include "dram/system.h"
 #include "puf/puf.h"
 #include "puf/retention.h"
@@ -79,6 +81,22 @@ densestChip(const std::vector<SimulatedChip> &chips)
         if (c.sigFlipFraction() > best->sigFlipFraction())
             best = &c;
     return *best;
+}
+
+/**
+ * The thermal epoch of `epoch_us` microseconds in DRAM cycles. An
+ * epoch too long for a Cycle is a user error, raised before the
+ * double-to-integer conversion (which would be undefined).
+ */
+Cycle
+epochCycles(const DramConfig &cfg, double epoch_us)
+{
+    const double cycles = epoch_us * 1000.0 / cfg.tck_ns;
+    if (!(cycles <
+          static_cast<double>(std::numeric_limits<Cycle>::max())))
+        fatal("--epoch-us ", epoch_us, " is ", cycles,
+              " DRAM cycles, more than a cycle count holds");
+    return cfg.nsToCycles(epoch_us * 1000.0);
 }
 
 /** Mean Jaccard and total dropped cells of one epoch's evaluation. */
@@ -129,7 +147,7 @@ runThermalFeedback(RunContext &ctx)
     tc.epoch_us = opts.epochUsOr(100.0);
     EpochStats stats(sys);
     ThermalModel model(tc, stats.bankCount());
-    const Cycle epoch_cycles = cfg.nsToCycles(tc.epoch_us * 1000.0);
+    const Cycle epoch_cycles = epochCycles(cfg, tc.epoch_us);
     const double epoch_ns = tc.epoch_us * 1000.0;
 
     // The PUF under feedback: the densest flip-cell chip of the
@@ -281,12 +299,18 @@ runMulticoreContention(RunContext &ctx)
     cfg.scheduler = schedulerFor(opts, "eager");
 
     // Default sweep 2-8 cores; --cores pins a single point (like
-    // --devices, an input parameter of the study).
+    // --devices, an input parameter of the study). Each core owns an
+    // eighth of the module, so eight is the limit.
+    constexpr int kMaxCores = 8;
+    if (opts.cores > kMaxCores)
+        fatal("--cores ", opts.cores, " exceeds multicore_contention's "
+              "limit of ", kMaxCores,
+              " cores: each core owns an eighth of the module");
     std::vector<int> core_counts;
     if (opts.cores > 0)
-        core_counts.push_back(std::min(opts.cores, 8));
+        core_counts.push_back(opts.cores);
     else
-        core_counts = {2, 4, 8};
+        core_counts = {2, 4, kMaxCores};
 
     // Benchmarks cycle through the Table 8 allocation-intensive set
     // plus background traces (Table 9 methodology).
@@ -295,7 +319,7 @@ runMulticoreContention(RunContext &ctx)
         pool.push_back(b);
 
     const uint64_t stride =
-        static_cast<uint64_t>(cfg.capacityBytes()) / 8;
+        static_cast<uint64_t>(cfg.capacityBytes()) / kMaxCores;
     for (const int n : core_counts) {
         // Per-core traces: scaled-down phase counts keep the sweep
         // fast while preserving the phased structure.
@@ -322,7 +346,7 @@ runMulticoreContention(RunContext &ctx)
         }
 
         // Shared run: all cores on one DramSystem, interleaved by
-        // the TickEngine in timestamp order.
+        // the TickEngine in exact local-time order.
         DramSystem sys(cfg);
         std::vector<std::unique_ptr<InOrderCore>> cores;
         std::vector<std::unique_ptr<CoreProducer>> producers;
@@ -388,7 +412,7 @@ runThermalThrottling(RunContext &ctx)
     tc.epoch_us = opts.epochUsOr(100.0);
     const double ceiling_c = tc.ambient_c + 6.0;
     const double floor_c = tc.ambient_c + 4.0;
-    const Cycle epoch_cycles = cfg.nsToCycles(tc.epoch_us * 1000.0);
+    const Cycle epoch_cycles = epochCycles(cfg, tc.epoch_us);
     const double epoch_ns = tc.epoch_us * 1000.0;
     const Cycle gap = 8;
     const uint64_t writes =

@@ -9,6 +9,7 @@
 #include "common/parallel.h"
 #include "dram/refresh.h"
 #include "dram/system.h"
+#include "sim/engine.h"
 
 namespace codic {
 
@@ -113,16 +114,10 @@ simulate(std::span<const Workload> traces, DeallocMode mode,
     // Discrete-event interleaving: always step the core with the
     // smallest local time so shared-system commands issue in
     // near-global-time order.
-    while (true) {
-        InOrderCore *next = nullptr;
-        for (auto &core : cores)
-            if (!core->done() &&
-                (!next || core->timeNs() < next->timeNs()))
-                next = core.get();
-        if (!next)
-            break;
-        next->step();
-    }
+    stepEarliestFirst(
+        cores.size(), [&](size_t i) { return !cores[i]->done(); },
+        [&](size_t i) { return cores[i]->timeNs(); },
+        [&](size_t i) { cores[i]->step(); });
 
     double end_ns = 0.0;
     for (auto &core : cores)
@@ -136,6 +131,7 @@ simulate(std::span<const Workload> traces, DeallocMode mode,
     result.time_ns = end_ns;
     result.core_stats = cores[0]->stats();
     result.commands = system.totalCounts();
+    result.origins = system.perOriginCounts();
     result.energy_nj = systemEnergyNj(system, end_ns, config.energy);
     return result;
 }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/run_options.h"
+#include "mem/controller.h"
 #include "power/energy_model.h"
 #include "sim/core.h"
 #include "sim/workloads.h"
@@ -27,6 +28,8 @@ struct DeallocRunResult
     double energy_nj = 0.0;
     CoreStats core_stats;     //!< Core 0 stats (single core: the run).
     CommandCounts commands;   //!< Aggregated across channels.
+    /** Per-core roll-ups, keyed by each core's region base. */
+    std::vector<OriginCounts> origins;
 };
 
 /** Simulation configuration for the secure-dealloc evaluation. */

@@ -185,7 +185,10 @@ class InOrderCore
     /** Local time (ns). */
     double timeNs() const { return now_ns_; }
 
-    /** Local time in DRAM cycles (the TickEngine ordering key). */
+    /**
+     * Local time rounded up to a DRAM cycle: the arrival stamp of the
+     * core's next transaction. Cores are ordered by exact timeNs().
+     */
     Cycle nowCycles() const;
 
     /** Execute the next trace op. */

@@ -26,37 +26,27 @@ TickEngine::setEpoch(Cycle epoch_cycles,
 Cycle
 TickEngine::run()
 {
-    while (true) {
-        // The globally earliest live producer; ties break by
-        // registration index, so the interleave is a pure function
-        // of the producer set.
-        size_t pick = producers_.size();
-        Cycle best = 0;
-        for (size_t i = 0; i < producers_.size(); ++i) {
-            TickProducer *p = producers_[i];
-            if (p->done())
-                continue;
-            const Cycle c = p->nextCycle();
-            if (pick == producers_.size() || c < best) {
-                pick = i;
-                best = c;
+    stepEarliestFirst(
+        producers_.size(),
+        [&](size_t i) { return !producers_[i]->done(); },
+        [&](size_t i) { return producers_[i]->nextNs(); },
+        [&](size_t i) {
+            TickProducer &p = *producers_[i];
+            const Cycle at = p.nextCycle();
+            // Cross every epoch boundary at or before the next
+            // action: poll the service to the boundary (services
+            // arrived work, fires completion callbacks), then sample
+            // via the hook.
+            while (epoch_cycles_ > 0 && next_epoch_ <= at) {
+                mem_.poll(next_epoch_);
+                if (epoch_hook_)
+                    epoch_hook_(next_epoch_);
+                ++epochs_fired_;
+                next_epoch_ += epoch_cycles_;
             }
-        }
-        if (pick == producers_.size())
-            break;
-        // Cross every epoch boundary at or before the next action:
-        // poll the service to the boundary (services arrived work,
-        // fires completion callbacks), then sample via the hook.
-        while (epoch_cycles_ > 0 && next_epoch_ <= best) {
-            mem_.poll(next_epoch_);
-            if (epoch_hook_)
-                epoch_hook_(next_epoch_);
-            ++epochs_fired_;
-            next_epoch_ += epoch_cycles_;
-        }
-        now_ = std::max(now_, best);
-        producers_[pick]->tick();
-    }
+            now_ = std::max(now_, at);
+            p.tick();
+        });
     const Cycle quiescent = mem_.drainAll();
     now_ = std::max(now_, quiescent);
     if (epoch_cycles_ > 0) {

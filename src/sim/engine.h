@@ -5,21 +5,22 @@
  * the dramsim3 frontend style (submit without blocking, learn
  * completions through callbacks, tick in global-time order).
  *
- * The existing consumers (paper campaigns, secdealloc cores, fleet
- * replay) block per owner on completionOf(); that pattern cannot
- * interleave N independent producers over one DramSystem. The
- * TickEngine closes that gap: each producer exposes the cycle of its
- * next action, the engine always ticks the globally earliest one
- * (ties break by registration index, so the interleave - and every
- * byte of downstream output - is a pure function of the producer set,
- * never of the host's thread count), and epoch boundaries fire a
- * hook for the thermal feedback loop (thermal/thermal_model.h).
+ * Every interleave in the simulator follows one rule, written once
+ * in stepEarliestFirst(): step the live producer with the smallest
+ * key, ties to the lower index, so the interleave - and every byte
+ * of downstream output - is a pure function of the producer set,
+ * never of the host's thread count. The TickEngine runs it over
+ * TickProducers and adds epoch boundaries that fire a hook for the
+ * thermal feedback loop (thermal/thermal_model.h); the secure-dealloc
+ * cores (secdealloc/evaluate.cc) and the fleet's replay slices
+ * (fleet/auth_service.cc) run it directly over their own cores and
+ * cursors.
  *
  * Producers come in two styles:
  *  - blocking consumers wrapped as producers (CoreProducer): the
  *    wrapped InOrderCore still blocks inside one step, but steps of
- *    different cores interleave in timestamp order, which is how
- *    multi-core contention shares the FR-FCFS front-end;
+ *    different cores interleave in exact local-time order, as the
+ *    secure-dealloc multi-core runs step them;
  *  - callback consumers (CallbackReadSource, StormSource): submit at
  *    their own pace and observe completions via
  *    MemoryService::onComplete, never blocking. Callbacks must not
@@ -30,6 +31,7 @@
 #ifndef CODIC_SIM_ENGINE_H
 #define CODIC_SIM_ENGINE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -38,6 +40,34 @@
 #include "sim/core.h"
 
 namespace codic {
+
+/**
+ * The earliest-first rule: while any of the `n` entries is live,
+ * step the live entry with the smallest key; equal keys go to the
+ * lower index. `live(i)`, `key(i)` and `step(i)` are inline
+ * callables, and every live key is re-read before each step.
+ */
+template <typename Live, typename Key, typename Step>
+void
+stepEarliestFirst(size_t n, Live &&live, Key &&key, Step &&step)
+{
+    while (true) {
+        size_t pick = n;
+        decltype(key(pick)) best{};
+        for (size_t i = 0; i < n; ++i) {
+            if (!live(i))
+                continue;
+            const auto k = key(i);
+            if (pick == n || k < best) {
+                pick = i;
+                best = k;
+            }
+        }
+        if (pick == n)
+            return;
+        step(pick);
+    }
+}
 
 /** One request producer advanced by the TickEngine. */
 class TickProducer
@@ -48,7 +78,10 @@ class TickProducer
     /** True when the producer has no further work. */
     virtual bool done() const = 0;
 
-    /** Cycle of the producer's next action (its local clock). */
+    /** Local time of the next action in ns: the ordering key. */
+    virtual double nextNs() const = 0;
+
+    /** DRAM cycle of the next action (epochs cross up to it). */
     virtual Cycle nextCycle() const = 0;
 
     /** Perform the next action (may submit transactions). */
@@ -58,11 +91,11 @@ class TickProducer
 /**
  * Discrete-event loop over N producers and one MemoryService.
  *
- * run() repeatedly ticks the live producer with the smallest
- * nextCycle() (registration order breaks ties), polls the service at
- * every epoch boundary, fires the epoch hook, and finishes with a
- * drainAll(). Fully serial: byte-determinism at any --threads value
- * is structural, not a property to re-verify per scenario.
+ * run() ticks producers by stepEarliestFirst() over nextNs()
+ * (registration order breaks ties), polls the service at every epoch
+ * boundary, fires the epoch hook, and finishes with a drainAll().
+ * Fully serial: byte-determinism at any --threads value is
+ * structural, not a property to re-verify per scenario.
  */
 class TickEngine
 {
@@ -103,13 +136,17 @@ class TickEngine
     std::function<void(Cycle)> epoch_hook_;
 };
 
-/** An InOrderCore stepped as a TickEngine producer. */
+/**
+ * An InOrderCore stepped as a TickEngine producer, keyed by its exact
+ * local time, so cores interleave as runMultiCore steps them.
+ */
 class CoreProducer : public TickProducer
 {
   public:
     explicit CoreProducer(InOrderCore &core) : core_(core) {}
 
     bool done() const override { return core_.done(); }
+    double nextNs() const override { return core_.timeNs(); }
     Cycle nextCycle() const override { return core_.nowCycles(); }
     void tick() override { core_.step(); }
 
@@ -135,6 +172,10 @@ class CallbackReadSource : public TickProducer
     }
 
     bool done() const override { return issued_ >= count_; }
+    double nextNs() const override
+    {
+        return mem_.dramConfig().cyclesToNs(next_);
+    }
     Cycle nextCycle() const override { return next_; }
     void tick() override;
 
@@ -187,6 +228,10 @@ class StormSource : public TickProducer
     }
 
     bool done() const override { return issued_ >= count_; }
+    double nextNs() const override
+    {
+        return mem_.dramConfig().cyclesToNs(next_);
+    }
     Cycle nextCycle() const override { return next_; }
     void tick() override;
 

@@ -5,11 +5,14 @@
  * equivalence (byte-identical command streams and completion
  * cycles), per-channel arrival-order callback firing, the
  * ticket-ownership contract (auto-retire, immediate fire on
- * completed tickets, completionOf exclusion), and TickEngine
- * determinism for the multi-producer scenarios.
+ * completed tickets, completionOf exclusion), the one earliest-first
+ * rule, and TickEngine determinism for the multi-producer scenarios,
+ * whose cores interleave exactly as runMultiCore's do.
  */
 
 #include <algorithm>
+#include <bit>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "common/logging.h"
 #include "dram/system.h"
 #include "mem/controller.h"
+#include "secdealloc/evaluate.h"
 #include "sim/engine.h"
 #include "sim/workloads.h"
 
@@ -38,6 +42,11 @@ expectSameCounts(const CommandCounts &a, const CommandCounts &b)
     EXPECT_EQ(a.rd, b.rd);
     EXPECT_EQ(a.wr, b.wr);
     EXPECT_EQ(a.ref, b.ref);
+    EXPECT_EQ(a.codic, b.codic);
+    EXPECT_EQ(a.rowclone, b.rowclone);
+    EXPECT_EQ(a.lisa_rbm, b.lisa_rbm);
+    EXPECT_EQ(a.rd_wr_turnarounds, b.rd_wr_turnarounds);
+    EXPECT_EQ(a.wr_rd_turnarounds, b.wr_rd_turnarounds);
     EXPECT_EQ(a.total(), b.total());
     ASSERT_EQ(a.per_bank.size(), b.per_bank.size());
     for (size_t i = 0; i < a.per_bank.size(); ++i) {
@@ -198,6 +207,26 @@ TEST(Cosim, CallbackTicketAutoRetiresThroughDramSystem)
     EXPECT_EQ(fired, submitted);
 }
 
+// --- The earliest-first rule. ---
+
+TEST(EarliestFirst, SmallestLiveKeyFirstTiesToTheLowerIndex)
+{
+    // Entry 3 holds the smallest key but is dead from the start;
+    // entries 1 and 2 tie below entry 0, which was registered first.
+    std::vector<int> key = {5, 3, 3, 1};
+    std::vector<int> steps_left = {2, 1, 1, 0};
+    std::vector<size_t> order;
+    stepEarliestFirst(
+        key.size(), [&](size_t i) { return steps_left[i] > 0; },
+        [&](size_t i) { return key[i]; },
+        [&](size_t i) {
+            order.push_back(i);
+            --steps_left[i];
+            key[i] += 4;
+        });
+    EXPECT_EQ(order, (std::vector<size_t>{1, 2, 0, 0}));
+}
+
 // --- TickEngine semantics. ---
 
 TEST(Cosim, TickEngineInterleavesByLocalClock)
@@ -286,6 +315,60 @@ TEST(Cosim, MulticoreRunIsDeterministic)
                                sys.totalCounts().total());
     };
     EXPECT_EQ(once(), once());
+}
+
+TEST(Cosim, CoreProducersInterleaveLikeRunMultiCore)
+{
+    // A Fig. 9 mix on the TickEngine, over a module built as
+    // runMultiCore builds it: both key cores by exact local time, so
+    // the end time, every counter and the per-core roll-ups agree.
+    const WorkloadMix mix = representativeMixes(77)[0];
+    const DeallocEvalConfig config;
+    for (const DeallocMode mode :
+         {DeallocMode::SoftwareZero, DeallocMode::CodicDet}) {
+        SCOPED_TRACE(deallocModeName(mode));
+        const DeallocRunResult ref = runMultiCore(mix, mode, config);
+
+        DramSystem sys(DramConfig::ddr3_1600(config.dram_capacity_mb,
+                                             config.dram_channels));
+        CoreConfig core_cfg = config.core;
+        core_cfg.dealloc = mode;
+        const uint64_t region =
+            static_cast<uint64_t>(sys.config().capacityBytes()) /
+            mix.traces.size();
+        std::vector<std::unique_ptr<InOrderCore>> cores;
+        std::vector<std::unique_ptr<CoreProducer>> producers;
+        TickEngine engine(sys);
+        for (size_t i = 0; i < mix.traces.size(); ++i) {
+            cores.push_back(std::make_unique<InOrderCore>(
+                sys, core_cfg, region * i));
+            cores.back()->bind(&mix.traces[i]);
+            producers.push_back(
+                std::make_unique<CoreProducer>(*cores.back()));
+            engine.add(producers.back().get());
+        }
+        double end_ns = sys.config().cyclesToNs(engine.run());
+        for (const auto &core : cores)
+            end_ns = std::max(end_ns, core->timeNs());
+
+        EXPECT_EQ(std::bit_cast<uint64_t>(end_ns),
+                  std::bit_cast<uint64_t>(ref.time_ns));
+        expectSameCounts(sys.totalCounts(), ref.commands);
+        const std::vector<OriginCounts> origins = sys.perOriginCounts();
+        ASSERT_EQ(origins.size(), ref.origins.size());
+        for (size_t i = 0; i < origins.size(); ++i) {
+            EXPECT_EQ(origins[i].origin, ref.origins[i].origin);
+            EXPECT_EQ(origins[i].reads, ref.origins[i].reads);
+            EXPECT_EQ(origins[i].writes, ref.origins[i].writes);
+            EXPECT_EQ(origins[i].rowops, ref.origins[i].rowops);
+            EXPECT_EQ(origins[i].read_latency_cycles,
+                      ref.origins[i].read_latency_cycles);
+            EXPECT_EQ(origins[i].rowop_latency_cycles,
+                      ref.origins[i].rowop_latency_cycles);
+            EXPECT_EQ(origins[i].max_read_latency,
+                      ref.origins[i].max_read_latency);
+        }
+    }
 }
 
 TEST(Cosim, SharedRunIsSlowerThanSolo)

@@ -6,8 +6,8 @@
  *    byte-identical to bench/GOLDEN_eager_paper.json - the document
  *    captured from the pre-redesign blocking MemoryService. This
  *    pins the whole hot path (arena ticket records, SoA bank timing
- *    state, pow2 address decode, channel-parallel stepping) to the
- *    published numbers;
+ *    state, pow2 address decode, the earliest-first core stepping)
+ *    to the published numbers;
  *  - the whole scenario catalog (`codic_run --all --scale 0.05`)
  *    must match bench/GOLDEN_catalog.json, so the PUF, TRNG, fleet,
  *    thermal and trace campaigns are pinned too.

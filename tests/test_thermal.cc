@@ -11,15 +11,19 @@
 
 #include <cmath>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/result_sink.h"
 #include "common/run_options.h"
 #include "dram/system.h"
 #include "puf/chip_model.h"
 #include "puf/sig_puf.h"
+#include "scenario/registry.h"
 #include "thermal/epoch_stats.h"
 #include "thermal/thermal_model.h"
 
@@ -323,6 +327,44 @@ TEST(Thermal, RunOptionsValidateRejectsBadThermalFlags)
     o.cores = 0;
     EXPECT_DOUBLE_EQ(o.epochUsOr(100.0), 100.0);
     EXPECT_EQ(o.coresOr(2), 2);
+}
+
+/** The message of the FatalError `name` raises under `options`. */
+std::string
+fatalMessage(const char *name, RunOptions options)
+{
+    options.scale = 0.05;
+    std::ostringstream out;
+    JsonResultSink sink(out);
+    try {
+        runScenario(name, options, sink);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << name << " did not raise FatalError";
+    return "";
+}
+
+TEST(Thermal, MoreCoresThanTheModuleSplitsIntoIsFatal)
+{
+    // Each multicore_contention core owns an eighth of the module.
+    RunOptions o;
+    o.cores = 9;
+    const std::string msg = fatalMessage("multicore_contention", o);
+    EXPECT_NE(msg.find("--cores 9"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("limit of 8"), std::string::npos) << msg;
+}
+
+TEST(Thermal, EpochTooLongForACycleCountIsFatal)
+{
+    for (const char *name : {"thermal_feedback", "thermal_throttling"})
+        for (const double epoch_us : {1e17, 1e300}) {
+            SCOPED_TRACE(name);
+            RunOptions o;
+            o.epoch_us = epoch_us;
+            EXPECT_NE(fatalMessage(name, o).find("--epoch-us"),
+                      std::string::npos);
+        }
 }
 
 } // namespace

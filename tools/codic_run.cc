@@ -71,9 +71,11 @@
  *                      30, the paper's static campaign temperature;
  *                      modeled range -40..120).
  *   --epoch-us F       Thermal/co-sim epoch length in microseconds
- *                      (default: each scenario's own, normally 100).
- *   --cores N          Core count for multicore_contention (default:
- *                      the scenario's 2/4/8 sweep).
+ *                      (default: each scenario's own, normally 100;
+ *                      it must fit a DRAM cycle count).
+ *   --cores N          Core count for multicore_contention, at most 8
+ *                      (each core owns an eighth of the module;
+ *                      default: the scenario's 2/4/8 sweep).
  *   --record-trace FILE Record every DramSystem transaction the
  *                      selected scenarios submit into FILE (the
  *                      post-LLC DRAM-level trace; see
