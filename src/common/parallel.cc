@@ -2,203 +2,64 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <deque>
+#include <exception>
 #include <mutex>
 #include <thread>
 
-#include "common/logging.h"
-
 namespace codic {
-
-/**
- * Pool internals. One chunk deque per participant (workers plus the
- * calling thread). Queues are guarded by per-queue mutexes: owners
- * pop from the back, thieves from the front, so a steal touches the
- * cold end of a victim's queue.
- */
-struct CampaignEngine::Impl
-{
-    struct Chunk
-    {
-        size_t begin;
-        size_t end;
-    };
-
-    explicit Impl(size_t participants)
-        : queues(participants), queue_mutexes(participants)
-    {
-        for (auto &m : queue_mutexes)
-            m = std::make_unique<std::mutex>();
-    }
-
-    std::vector<std::deque<Chunk>> queues;
-    std::vector<std::unique_ptr<std::mutex>> queue_mutexes;
-    std::vector<std::thread> workers;
-
-    std::mutex job_mutex;
-    std::condition_variable job_start;
-    std::condition_variable job_done;
-    uint64_t epoch = 0;
-    bool shutdown = false;
-
-    const std::function<void(size_t)> *fn = nullptr;
-    std::atomic<size_t> chunks_done{0};
-    size_t chunks_total = 0;
-    std::atomic<bool> cancelled{false};
-    std::exception_ptr error;
-
-    bool
-    takeChunk(size_t self, Chunk *out)
-    {
-        {
-            std::lock_guard<std::mutex> lk(*queue_mutexes[self]);
-            if (!queues[self].empty()) {
-                *out = queues[self].back();
-                queues[self].pop_back();
-                return true;
-            }
-        }
-        // Steal from the front of the first non-empty victim.
-        for (size_t v = 0; v < queues.size(); ++v) {
-            if (v == self)
-                continue;
-            std::lock_guard<std::mutex> lk(*queue_mutexes[v]);
-            if (!queues[v].empty()) {
-                *out = queues[v].front();
-                queues[v].pop_front();
-                return true;
-            }
-        }
-        return false;
-    }
-
-    /** Run chunks until every queue is dry (worker or caller). */
-    void
-    participate(size_t self)
-    {
-        Chunk c;
-        while (takeChunk(self, &c)) {
-            if (!cancelled.load(std::memory_order_relaxed)) {
-                try {
-                    for (size_t i = c.begin; i < c.end; ++i) {
-                        if (cancelled.load(std::memory_order_relaxed))
-                            break;
-                        (*fn)(i);
-                    }
-                } catch (...) {
-                    std::lock_guard<std::mutex> lk(job_mutex);
-                    if (!error)
-                        error = std::current_exception();
-                    cancelled.store(true, std::memory_order_relaxed);
-                }
-            }
-            if (chunks_done.fetch_add(1) + 1 == chunks_total) {
-                std::lock_guard<std::mutex> lk(job_mutex);
-                job_done.notify_all();
-            }
-        }
-    }
-
-    void
-    workerLoop(size_t self)
-    {
-        uint64_t seen = 0;
-        std::unique_lock<std::mutex> lk(job_mutex);
-        while (true) {
-            job_start.wait(
-                lk, [&] { return shutdown || epoch != seen; });
-            if (shutdown)
-                return;
-            seen = epoch;
-            lk.unlock();
-            participate(self);
-            lk.lock();
-        }
-    }
-};
 
 CampaignEngine::CampaignEngine(int threads)
 {
-    if (threads <= 0) {
-        threads =
-            static_cast<int>(std::thread::hardware_concurrency());
-        if (threads <= 0)
-            threads = 1;
-    }
-    threads_ = threads;
-    if (threads_ == 1)
-        return;
-    impl_ = std::make_unique<Impl>(static_cast<size_t>(threads_));
-    for (int w = 0; w < threads_ - 1; ++w)
-        impl_->workers.emplace_back(
-            [this, w] { impl_->workerLoop(static_cast<size_t>(w)); });
-}
-
-CampaignEngine::~CampaignEngine()
-{
-    if (!impl_)
-        return;
-    {
-        std::lock_guard<std::mutex> lk(impl_->job_mutex);
-        impl_->shutdown = true;
-    }
-    impl_->job_start.notify_all();
-    for (auto &t : impl_->workers)
-        t.join();
+    if (threads <= 0)
+        threads = static_cast<int>(std::thread::hardware_concurrency());
+    threads_ = std::max(threads, 1);
 }
 
 void
-CampaignEngine::forEach(size_t n, const std::function<void(size_t)> &fn)
+CampaignEngine::forEach(size_t n,
+                        const std::function<void(size_t)> &fn) const
 {
-    if (n == 0)
-        return;
-    if (!impl_) {
+    const size_t parts = std::min(n, static_cast<size_t>(threads_));
+    if (parts <= 1) {
         for (size_t i = 0; i < n; ++i)
             fn(i);
         return;
     }
 
-    const size_t parts = static_cast<size_t>(threads_);
-    // Several chunks per participant so stealing has work to migrate,
-    // but coarse enough to amortize queue traffic.
-    const size_t chunk =
-        std::max<size_t>(1, n / (parts * 8));
-    const size_t total = (n + chunk - 1) / chunk;
+    std::atomic<size_t> next{0};
+    std::atomic<bool> failed{false};
+    std::mutex error_mutex;
+    std::exception_ptr error;
+    const auto drain = [&] {
+        try {
+            while (!failed) {
+                const size_t i = next++;
+                if (i >= n)
+                    return;
+                fn(i);
+            }
+        } catch (...) {
+            std::lock_guard<std::mutex> lk(error_mutex);
+            if (!error)
+                error = std::current_exception();
+            failed = true;
+        }
+    };
 
-    {
-        // Publish the job before filling the queues: a worker that is
-        // still draining a previous epoch may legally steal new
-        // chunks the moment they are pushed.
-        std::lock_guard<std::mutex> lk(impl_->job_mutex);
-        impl_->fn = &fn;
-        impl_->chunks_total = total;
-        impl_->chunks_done.store(0);
-        impl_->cancelled.store(false);
-        impl_->error = nullptr;
+    std::vector<std::thread> workers;
+    workers.reserve(parts - 1);
+    try {
+        while (workers.size() < parts - 1)
+            workers.emplace_back(drain);
+    } catch (...) {
+        // The threads already started (and the caller) still drain
+        // every index; they must be joined before this frame goes.
     }
-    const size_t caller = parts - 1;
-    for (size_t c = 0; c < total; ++c) {
-        const size_t q = c % parts;
-        std::lock_guard<std::mutex> lk(*impl_->queue_mutexes[q]);
-        impl_->queues[q].push_back(
-            {c * chunk, std::min(n, (c + 1) * chunk)});
-    }
-    {
-        std::lock_guard<std::mutex> lk(impl_->job_mutex);
-        ++impl_->epoch;
-    }
-    impl_->job_start.notify_all();
-
-    impl_->participate(caller);
-
-    std::unique_lock<std::mutex> lk(impl_->job_mutex);
-    impl_->job_done.wait(lk, [&] {
-        return impl_->chunks_done.load() == impl_->chunks_total;
-    });
-    impl_->fn = nullptr;
-    if (impl_->error)
-        std::rethrow_exception(impl_->error);
+    drain();
+    for (std::thread &t : workers)
+        t.join();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 std::vector<Rng>

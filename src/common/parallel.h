@@ -1,8 +1,8 @@
 /**
  * @file
- * Work-stealing campaign engine for embarrassingly parallel
- * simulation sweeps (PUF Jaccard campaigns, Monte-Carlo circuit
- * sweeps, secure-deallocation mechanism comparisons).
+ * Campaign engine for embarrassingly parallel simulation sweeps (PUF
+ * Jaccard campaigns, Monte-Carlo circuit sweeps, secure-deallocation
+ * mechanism comparisons, fleet shard batches).
  *
  * Determinism contract: the engine never introduces scheduling
  * dependence into results. Callers split a campaign into indexed
@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -25,59 +24,38 @@
 namespace codic {
 
 /**
- * Thread pool with per-worker chunk deques and work stealing.
+ * Runs one campaign's indexed tasks on a fixed number of threads.
  *
- * Workers (and the calling thread, which participates) pop chunks
- * from the back of their own deque and steal from the front of a
- * victim's deque when theirs runs dry, so imbalanced tasks (e.g. a
- * chip whose PUF filter converges slowly) migrate to idle threads.
- *
- * The engine owns its worker threads for its whole lifetime; a
- * `threads() == 1` engine executes inline with no pool, which IS the
- * sequential path (there is no separate sequential implementation to
- * drift from).
+ * Each forEach starts its own threads and joins them before it
+ * returns; the threads and the caller claim one index at a time from
+ * a shared counter, so a slow task (e.g. a chip whose PUF filter
+ * converges slowly) holds back only itself. A `threads() == 1`
+ * engine, or a campaign of one task, runs inline on the caller: that
+ * plain loop IS the sequential path (there is no separate sequential
+ * implementation to drift from).
  */
 class CampaignEngine
 {
   public:
     /**
-     * @param threads Worker count. 0 picks the hardware concurrency;
+     * @param threads Thread count. 0 picks the hardware concurrency;
      *        1 runs every campaign inline on the calling thread.
      */
     explicit CampaignEngine(int threads = 0);
-    ~CampaignEngine();
-
-    CampaignEngine(const CampaignEngine &) = delete;
-    CampaignEngine &operator=(const CampaignEngine &) = delete;
 
     /** Number of threads that execute tasks (including the caller). */
     int threads() const { return threads_; }
 
     /**
      * Execute fn(i) for every i in [0, n). Blocks until all tasks
-     * complete. The first exception thrown by a task is rethrown here
-     * after the campaign drains; remaining tasks are skipped.
+     * complete. After the first exception thrown by a task no thread
+     * claims another index; the exception is rethrown here once every
+     * thread has stopped.
      */
-    void forEach(size_t n, const std::function<void(size_t)> &fn);
-
-    /**
-     * Indexed map: out[i] = fn(i). Result order is index order, so
-     * output is independent of scheduling.
-     */
-    template <typename T, typename Fn>
-    std::vector<T>
-    map(size_t n, Fn &&fn)
-    {
-        std::vector<T> out(n);
-        forEach(n, [&](size_t i) { out[i] = fn(i); });
-        return out;
-    }
+    void forEach(size_t n, const std::function<void(size_t)> &fn) const;
 
   private:
-    struct Impl;
-
     int threads_;
-    std::unique_ptr<Impl> impl_; //!< Null when threads_ == 1.
 };
 
 /**

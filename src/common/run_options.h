@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <thread>
 
 #include "common/logging.h"
 
@@ -93,7 +92,7 @@ struct RunOptions
     double zipf = -1.0;
 
     /** Enrollment-store file for fleet scenarios ("" = in-memory). */
-    std::string store_path;
+    std::string store_path{};
 
     /**
      * Serve the --store file through the mmap-backed read path
@@ -125,7 +124,7 @@ struct RunOptions
      * from the run options (this struct lives below dram/ so it
      * carries the name only); unknown names are fatal there.
      */
-    std::string dram_preset;
+    std::string dram_preset{};
 
     /**
      * Memory-scheduler policy spec ("" = the built-in default): a
@@ -135,7 +134,7 @@ struct RunOptions
      * (this struct lives below dram/ so it carries the spec only);
      * unknown presets or knobs are fatal there.
      */
-    std::string sched;
+    std::string sched{};
 
     // --- Trace options (scenarios under src/trace) ---
 
@@ -145,14 +144,14 @@ struct RunOptions
      * record_trace - replaying a file while recording over it would
      * destroy the input mid-read.
      */
-    std::string trace_path;
+    std::string trace_path{};
 
     /**
      * Output path for the DramSystem recording tap ("" =
      * recording off). See trace/recorder.h; multi-threaded runs
      * record reproducibly but not byte-stably.
      */
-    std::string record_trace;
+    std::string record_trace{};
 
     /**
      * Replay inter-arrival rescale: > 1 compresses the trace in
@@ -246,15 +245,6 @@ struct RunOptions
         if (cores < 0)
             fatal("RunOptions: cores must be >= 0 (0 = scenario "
                   "default), got ", cores);
-    }
-
-    /** Threads that will actually run (resolves 0 to the hardware). */
-    int resolvedThreads() const
-    {
-        if (threads > 0)
-            return threads;
-        const unsigned hw = std::thread::hardware_concurrency();
-        return hw ? static_cast<int>(hw) : 1;
     }
 
     /**

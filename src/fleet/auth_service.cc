@@ -411,14 +411,17 @@ void
 AuthService::enrollAll()
 {
     CampaignEngine engine(config_.threads);
-    engine.forEach(
-        static_cast<size_t>(fleet_.shards()), [&](size_t shard) {
-            for (uint64_t id :
-                 fleet_.shardDeviceIds(static_cast<int>(shard))) {
-                const Challenge ch = fleet_.goldenChallenge(id);
-                store_.put(id, ch, fleet_.enrollSignature(id, ch));
-            }
-        });
+    engine.forEach(static_cast<size_t>(fleet_.shards()),
+                   [&](size_t shard) { enrollShard(shard); });
+}
+
+void
+AuthService::enrollShard(size_t shard)
+{
+    for (uint64_t id : fleet_.shardDeviceIds(static_cast<int>(shard))) {
+        const Challenge ch = fleet_.goldenChallenge(id);
+        store_.put(id, ch, fleet_.enrollSignature(id, ch));
+    }
 }
 
 double

@@ -359,6 +359,13 @@ class AuthService
     void enrollAll();
 
     /**
+     * Enroll one shard's devices: golden challenge, enrollment
+     * signature, store put (safe to run concurrently for distinct
+     * shards, as engine tasks).
+     */
+    void enrollShard(size_t shard);
+
+    /**
      * One prepared stream's execution state: the sequential plans
      * (cache hits, admission decisions, per-shard batches) plus the
      * per-request results the shard workers fill in. The region

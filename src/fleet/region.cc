@@ -170,13 +170,7 @@ RegionSet::enrollAll(int threads)
 
     CampaignEngine engine(threads);
     engine.forEach(tasks.size(), [&](size_t t) {
-        Region &region = regions_[tasks[t].first];
-        for (uint64_t id : region.fleet->shardDeviceIds(
-                 static_cast<int>(tasks[t].second))) {
-            const Challenge ch = region.fleet->goldenChallenge(id);
-            region.store->put(
-                id, ch, region.fleet->enrollSignature(id, ch));
-        }
+        regions_[tasks[t].first].service->enrollShard(tasks[t].second);
     });
 }
 
@@ -199,9 +193,9 @@ RegionSet::serve(int threads)
         shards.push_back(region.fleet->shards());
     }
 
-    // One engine pass over every region's shard batches: a worker
+    // One engine pass over every region's shard batches: a thread
     // picks up whichever (region, shard) task is next, so a small
-    // region never idles the pool while a big one drains.
+    // region never leaves threads idle while a big one drains.
     const auto tasks = flattenTasks(shards);
     CampaignEngine engine(threads);
     engine.forEach(tasks.size(), [&](size_t t) {

@@ -29,7 +29,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -84,19 +83,30 @@ densestChip(const std::vector<SimulatedChip> &chips)
 }
 
 /**
- * The thermal epoch of `epoch_us` microseconds in DRAM cycles. An
- * epoch too long for a Cycle is a user error, raised before the
- * double-to-integer conversion (which would be undefined).
+ * Longest accepted thermal epoch, in RC time constants of the
+ * thermal model. After a few tau every bank settles within one
+ * epoch, so a longer epoch only adds run time: the storms are sized
+ * in writes per epoch.
+ */
+constexpr double kMaxEpochTaus = 25.0;
+
+/**
+ * The thermal epoch of `tc.epoch_us` microseconds in DRAM cycles. An
+ * epoch past kMaxEpochTaus time constants is a user error, raised
+ * before any storm or PUF population is built (and long before the
+ * cycle count could overflow).
  */
 Cycle
-epochCycles(const DramConfig &cfg, double epoch_us)
+epochCycles(const DramConfig &cfg, const ThermalConfig &tc)
 {
-    const double cycles = epoch_us * 1000.0 / cfg.tck_ns;
-    if (!(cycles <
-          static_cast<double>(std::numeric_limits<Cycle>::max())))
-        fatal("--epoch-us ", epoch_us, " is ", cycles,
-              " DRAM cycles, more than a cycle count holds");
-    return cfg.nsToCycles(epoch_us * 1000.0);
+    const double limit_us = kMaxEpochTaus * tc.tauUs();
+    if (!(tc.epoch_us <= limit_us))
+        fatal("--epoch-us ", tc.epoch_us, " exceeds the limit of ",
+              limit_us, " us (", kMaxEpochTaus,
+              " thermal time constants of ", tc.tauUs(),
+              " us); every bank settles within one epoch long before "
+              "that, so a longer epoch only adds run time");
+    return cfg.nsToCycles(tc.epoch_us * 1000.0);
 }
 
 /** Mean Jaccard and total dropped cells of one epoch's evaluation. */
@@ -147,7 +157,7 @@ runThermalFeedback(RunContext &ctx)
     tc.epoch_us = opts.epochUsOr(100.0);
     EpochStats stats(sys);
     ThermalModel model(tc, stats.bankCount());
-    const Cycle epoch_cycles = epochCycles(cfg, tc.epoch_us);
+    const Cycle epoch_cycles = epochCycles(cfg, tc);
     const double epoch_ns = tc.epoch_us * 1000.0;
 
     // The PUF under feedback: the densest flip-cell chip of the
@@ -412,7 +422,7 @@ runThermalThrottling(RunContext &ctx)
     tc.epoch_us = opts.epochUsOr(100.0);
     const double ceiling_c = tc.ambient_c + 6.0;
     const double floor_c = tc.ambient_c + 4.0;
-    const Cycle epoch_cycles = epochCycles(cfg, tc.epoch_us);
+    const Cycle epoch_cycles = epochCycles(cfg, tc);
     const double epoch_ns = tc.epoch_us * 1000.0;
     const Cycle gap = 8;
     const uint64_t writes =

@@ -63,6 +63,12 @@ struct ThermalConfig
 
     /** Reject out-of-contract values with a clear FatalError. */
     void validate() const;
+
+    /** RC time constant tau = C/G of one bank, microseconds. */
+    double tauUs() const
+    {
+        return 1e6 * capacitance_j_per_k / conductance_w_per_k;
+    }
 };
 
 /** Per-bank RC thermal state advanced one epoch at a time. */

@@ -198,8 +198,9 @@ TEST(CacheFuzz, MatchesReferenceModelOnRandomTraffic)
         const auto got = cache.access(addr, write);
         ASSERT_EQ(got.hit, ref_hit) << "access " << i;
         ASSERT_EQ(got.writeback, ref_dirty) << "access " << i;
-        if (got.writeback)
+        if (got.writeback) {
             ASSERT_EQ(got.victim_addr, ref_victim) << "access " << i;
+        }
     }
 }
 

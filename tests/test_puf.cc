@@ -109,8 +109,9 @@ TEST_F(PopulationFixture, CoverageAndFlipBandsMatchSection61)
 TEST_F(PopulationFixture, SegmentsScaleWithCapacity)
 {
     for (const auto &chip : *chips_) {
-        if (chip.spec().capacity_gbit == 2.0)
+        if (chip.spec().capacity_gbit == 2.0) {
             EXPECT_EQ(chip.segments(), (2ull << 30) / 8192 * 8 / 8);
+        }
         // 4 Gb chip contributes to 4 Gb x 8 / 8 KB segments.
     }
 }
@@ -690,7 +691,7 @@ TEST_F(PopulationFixture, EvaluateEachMatchesSingleQueries)
                                                          envs[i]);
                             EXPECT_EQ(got[i], want) << "env " << i;
                             cells += got[i].size();
-                            if (puf == &latency)
+                            if (puf == &latency) {
                                 EXPECT_EQ(
                                     got[i],
                                     filtered
@@ -698,6 +699,7 @@ TEST_F(PopulationFixture, EvaluateEachMatchesSingleQueries)
                                               {}, *chip, ch, envs[i])
                                         : referenceLatencyRaw({}, *chip, ch,
                                                               envs[i]));
+                            }
                         }
                         // The decorator inherits the default: one
                         // single query per env, the same responses.

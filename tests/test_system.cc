@@ -117,8 +117,9 @@ TEST(ChannelMap, SchemeNamesAreDistinct)
 {
     for (MapScheme a : allMapSchemes())
         for (MapScheme b : allMapSchemes())
-            if (a != b)
+            if (a != b) {
                 EXPECT_STRNE(mapSchemeName(a), mapSchemeName(b));
+            }
 }
 
 // --- Config validation: channels/ranks are honored or rejected. ---

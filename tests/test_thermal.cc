@@ -367,5 +367,22 @@ TEST(Thermal, EpochTooLongForACycleCountIsFatal)
         }
 }
 
+TEST(Thermal, EpochPastTheSettlingLimitIsFatal)
+{
+    // Storms are sized in writes per epoch, so an epoch far past the
+    // thermal settling time would run for hours; it must fail fast,
+    // naming the flag and the 25-tau (10 ms) limit.
+    for (const char *name : {"thermal_feedback", "thermal_throttling"})
+        for (const double epoch_us : {1e9, 10000.5}) {
+            SCOPED_TRACE(name);
+            RunOptions o;
+            o.epoch_us = epoch_us;
+            const std::string msg = fatalMessage(name, o);
+            EXPECT_NE(msg.find("--epoch-us"), std::string::npos) << msg;
+            EXPECT_NE(msg.find("limit of 10000 us"), std::string::npos)
+                << msg;
+        }
+}
+
 } // namespace
 } // namespace codic

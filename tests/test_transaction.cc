@@ -878,9 +878,10 @@ TEST(Transaction, PerOriginCountsMatchMapReference)
             EXPECT_GT(expected.size(), 500u);
             EXPECT_EQ(flattenOrigins(sys.perOriginCounts()),
                       flattenOrigins(expected));
-            if (channels == 1)
+            if (channels == 1) {
                 EXPECT_EQ(flattenOrigins(sys.controller(0).originCounts()),
                           flattenOrigins(expected));
+            }
         }
     }
 }

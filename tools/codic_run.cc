@@ -72,7 +72,7 @@
  *                      modeled range -40..120).
  *   --epoch-us F       Thermal/co-sim epoch length in microseconds
  *                      (default: each scenario's own, normally 100;
- *                      it must fit a DRAM cycle count).
+ *                      at most 10000, 25 thermal time constants).
  *   --cores N          Core count for multicore_contention, at most 8
  *                      (each core owns an eighth of the module;
  *                      default: the scenario's 2/4/8 sweep).
