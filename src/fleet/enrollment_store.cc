@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <ostream>
 
 #include "common/logging.h"
@@ -26,6 +27,30 @@ sortedRecords(const std::unordered_map<uint64_t, EnrollmentRecord> &map)
                   return a->device_id < b->device_id;
               });
     return out;
+}
+
+/**
+ * Report cell `index` of a record: the delta that follows the
+ * smallest allowed cell `next` repeats the previous cell, overflows
+ * 32 bits, or leaves the segment.
+ */
+[[noreturn]] void
+corruptCell(const EnrollmentRecord &record, uint32_t index, uint64_t next,
+            uint64_t delta)
+{
+    const uint64_t prev = next - 1;
+    if (index > 0 && delta == 0)
+        fatal("enrollment store: corrupt record for device ",
+              record.device_id, " (cell ", index, " repeats cell ", prev,
+              ")");
+    const uint64_t base = index > 0 ? prev : 0;
+    if (delta > std::numeric_limits<uint32_t>::max() - base)
+        fatal("enrollment store: corrupt record for device ",
+              record.device_id, " (cell ", index, ": delta ", delta,
+              " from ", base, " overflows 32 bits)");
+    fatal("enrollment store: corrupt record for device ",
+          record.device_id, " (cell ", index, " = ", base + delta,
+          " lies outside its ", record.segment_bits, "-bit segment)");
 }
 
 } // namespace
@@ -121,12 +146,23 @@ EnrollmentStore::decode(const EnrollmentRecord &record)
     Response r;
     r.cells.reserve(record.cell_count);
     uint64_t pos = 0;
-    uint32_t value = 0;
+    // Cells ascend strictly inside the segment. The first delta is
+    // the first cell, and a later one steps at least 1 past its
+    // predecessor, so cell i is next + step with next the smallest
+    // cell allowed there and step = delta - (i > 0). A zero later
+    // delta wraps step past any bound, and next <= segment_bits keeps
+    // the bound from wrapping: one comparison rejects a repeat, a
+    // cell outside the segment and one past 32 bits.
+    uint64_t next = 0;
     for (uint32_t i = 0; i < record.cell_count; ++i) {
-        value += static_cast<uint32_t>(
+        const uint64_t delta =
             getVarint(record.blob.data(), pos, record.blob.size(),
-                      "enrollment store: record blob"));
-        r.cells.push_back(value);
+                      "enrollment store: record blob");
+        const uint64_t step = delta - (i > 0);
+        if (step >= record.segment_bits - next)
+            corruptCell(record, i, next, delta);
+        r.cells.push_back(static_cast<uint32_t>(next + step));
+        next += step + 1;
     }
     if (pos != record.blob.size())
         fatal("enrollment store: trailing bytes in record blob for "

@@ -312,7 +312,12 @@ class EnrollmentStore : public EnrollmentBackend
     static EnrollmentStore loadFile(const std::string &path,
                                     size_t cache_capacity = 4096);
 
-    /** Decode one record's blob into a Response (cache bypass). */
+    /**
+     * Decode one record's blob into a Response (cache bypass).
+     * @throws FatalError on a malformed varint, a cell count the blob
+     *         cannot hold, trailing blob bytes, or cells that do not
+     *         ascend strictly below the record's segment_bits.
+     */
     static Response decode(const EnrollmentRecord &record);
 
     /** Encode one signature into a record (varint delta cells). */

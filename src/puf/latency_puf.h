@@ -20,6 +20,7 @@
 #ifndef CODIC_PUF_LATENCY_PUF_H
 #define CODIC_PUF_LATENCY_PUF_H
 
+#include <span>
 #include <vector>
 
 #include "puf/chip_model.h"
@@ -81,11 +82,30 @@ class DramLatencyPuf : public DramPuf
     /**
      * The filter's cut on the logistic argument z of
      * failureProbability(): no noise draw can lift a cell with
-     * z < filterCutLogit() past filter_threshold, so evaluateFiltered()
-     * decides it without the normal draw's transform. -inf when no
-     * cell is decided that way.
+     * z < filterCutLogit() past filter_threshold. filterBounds()
+     * refines it per u1 bin: bin 0, whose radius is R, reproduces it
+     * up to rounding unless it is capped at p = 1/2, and every other
+     * bin lies above it. -inf when no cell is decided that way.
      */
     double filterCutLogit() const { return cut_logit_; }
+
+    /**
+     * The filter's bounds on z for the cells of one Box-Muller pair
+     * whose first uniform u1 lies in one bin. Both normals of the
+     * pair have |g| <= sqrt(-2 ln u1), which the bin bounds by its
+     * lower edge.
+     */
+    struct FilterBounds
+    {
+        double fail; //!< z < fail: the cell fails for every such g.
+        double keep; //!< z > keep: the cell passes for every such g.
+    };
+
+    /** u1 bins: bin b holds u1 in [b, b + 1) / kFilterBins. */
+    static constexpr size_t kFilterBins = 1024;
+
+    /** The bounds of each u1 bin, kFilterBins of them. */
+    std::span<const FilterBounds> filterBounds() const { return bounds_; }
 
   private:
     /** Logistic argument z: failure probability 1 / (1 + e^-z). */
@@ -104,6 +124,7 @@ class DramLatencyPuf : public DramPuf
 
     LatencyPufParams params_;
     double cut_logit_;
+    std::vector<FilterBounds> bounds_;
 };
 
 } // namespace codic

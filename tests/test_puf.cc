@@ -529,6 +529,10 @@ TEST_F(PopulationFixture, LatencyFilterMatchesPlainPerCellLoop)
     }
     param_sets.emplace_back().width = 0.01;
     param_sets.emplace_back().temp_shift_sigma = 0.0;
+    // Both ends of the threshold range, and ten times the reads.
+    param_sets.emplace_back().filter_threshold = 0;
+    param_sets.emplace_back().filter_threshold = 99;
+    param_sets.emplace_back() = {.reads = 1000, .filter_threshold = 900};
 
     std::vector<const SimulatedChip *> chips;
     for (bool ddr3l : {false, true}) {
@@ -548,7 +552,8 @@ TEST_F(PopulationFixture, LatencyFilterMatchesPlainPerCellLoop)
             1.0 / (1.0 + std::exp(-puf.filterCutLogit()));
         for (const SimulatedChip *chip : chips) {
             for (const Challenge &ch : challenges) {
-                for (double temp : {0.0, 30.0, 55.0, 85.0}) {
+                // --ambient's limits, -40 and 120 C, included.
+                for (double temp : {-40.0, 0.0, 30.0, 55.0, 85.0, 120.0}) {
                     for (uint64_t nonce : {1, 77}) {
                         const QueryEnv env{temp, false, nonce};
                         const Response got =
@@ -751,16 +756,23 @@ TEST_F(PopulationFixture, CampaignsThroughADecoratorMatchThePuf)
     }
 }
 
+// The filter's arithmetic for a cell with logistic argument z and
+// normal g: the failure count it compares with filter_threshold.
+long long
+failureCount(const LatencyPufParams &params, double z, double g)
+{
+    const double n = static_cast<double>(params.reads);
+    const double p = 1.0 / (1.0 + std::exp(-z));
+    const double sd = std::sqrt(std::max(n * p * (1.0 - p), 1e-12));
+    return std::llround(n * p + sd * g);
+}
+
 // Worst case of the filter for a cell with logistic argument z: the
 // filter's own arithmetic with the largest normal an Rng can draw.
 long long
 worstFailureCount(const LatencyPufParams &params, double z)
 {
-    const double n = static_cast<double>(params.reads);
-    const double p = 1.0 / (1.0 + std::exp(-z));
-    const double sd = std::sqrt(std::max(n * p * (1.0 - p), 1e-12));
-    const double g_max = boxMuller(0x1.0p-53, 0.0).first;
-    return std::llround(n * p + sd * g_max);
+    return failureCount(params, z, boxMuller(0x1.0p-53, 0.0).first);
 }
 
 TEST(LatencyPuf, FilterCutIsSafeAndTight)
@@ -796,6 +808,76 @@ TEST(LatencyPuf, FilterCutIsSafeAndTight)
     const double z = DramLatencyPuf().filterCutLogit();
     EXPECT_LT(z, 0.0);
     EXPECT_GT(z, -0.2);
+}
+
+TEST(LatencyPuf, FilterBinBoundsAreSafeAndTight)
+{
+    // Each u1 bin's largest normals are +-r at its lower edge (bin 0:
+    // the smallest u1 an Rng draws), as boxMuller() computes them at
+    // cos = +-1. Just under the fail bound even +r fails the filter,
+    // and just over the keep bound even -r passes it; 1e-6 inside
+    // either bound the largest normal of the other sign decides the
+    // other way, so no bound is looser than its margins.
+    constexpr size_t kBins = DramLatencyPuf::kFilterBins;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const auto inside = [](double z) {
+        return 1e-6 * std::max(1.0, std::abs(z));
+    };
+    size_t checked = 0;
+    for (int reads : {1, 2, 3, 5, 10, 25, 50, 100, 1000}) {
+        std::vector<int> thresholds;
+        for (int t = 0; t < reads; t += std::max(1, reads / 17))
+            thresholds.push_back(t);
+        if (thresholds.back() != reads - 1)
+            thresholds.push_back(reads - 1);
+        for (int threshold : thresholds) {
+            SCOPED_TRACE(std::to_string(reads) + " reads, threshold " +
+                         std::to_string(threshold));
+            LatencyPufParams params;
+            params.reads = reads;
+            params.filter_threshold = threshold;
+            const DramLatencyPuf puf(params);
+            const auto bounds = puf.filterBounds();
+            ASSERT_EQ(bounds.size(), kBins);
+            for (size_t b = 0; b < kBins; ++b) {
+                const double edge =
+                    b == 0 ? 0x1.0p-53 : static_cast<double>(b) / kBins;
+                const double up = boxMuller(edge, 0.0).first;
+                const double down = boxMuller(edge, 0.5).first;
+                ASSERT_GT(up, 0.0);
+                ASSERT_EQ(down, -up);
+                const auto [fail, keep] = bounds[b];
+                ASSERT_LT(fail, keep) << "bin " << b;
+                // Every bin but R's decides all that the cut decides.
+                if (b > 0) {
+                    EXPECT_GT(fail, puf.filterCutLogit()) << "bin " << b;
+                }
+                EXPECT_LE(failureCount(params, std::nextafter(fail, -kInf),
+                                       up),
+                          threshold)
+                    << "bin " << b;
+                EXPECT_GT(failureCount(params, std::nextafter(keep, kInf),
+                                       down),
+                          threshold)
+                    << "bin " << b;
+                EXPECT_GT(failureCount(params, fail + inside(fail), up),
+                          threshold)
+                    << "bin " << b;
+                EXPECT_LE(failureCount(params, keep - inside(keep), down),
+                          threshold)
+                    << "bin " << b;
+                ++checked;
+            }
+        }
+    }
+    EXPECT_GT(checked, 90 * kBins);
+    // A smaller radius decides more: the bounds close in bin by bin.
+    const DramLatencyPuf paper;
+    const auto bounds = paper.filterBounds();
+    for (size_t b = 1; b < kBins; ++b) {
+        EXPECT_GT(bounds[b].fail, bounds[b - 1].fail) << "bin " << b;
+        EXPECT_LT(bounds[b].keep, bounds[b - 1].keep) << "bin " << b;
+    }
 }
 
 TEST(LatencyPuf, ConstructorRejectsInvalidParams)

@@ -11,7 +11,9 @@
  * point - never crash, read outside the file (the ASan+UBSan build
  * checks that), raise another exception, or make one allocation
  * larger than the file. Where both store paths accept a mutant they
- * must return the same answer for every device.
+ * must return the same answer for every device, and every signature
+ * either path returns must hold strictly ascending cells inside its
+ * record's segment.
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +34,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "fleet/enrollment_store.h"
+#include "fleet/store_format.h"
 #include "fleet/store_mmap.h"
 #include "trace/trace_io.h"
 
@@ -305,6 +308,9 @@ storeId(int i)
     return static_cast<uint64_t>(i) * 7919 + (i % 3 == 0 ? 1ull << 40 : 0);
 }
 
+/** Segment width of the generated records: room for every cell. */
+constexpr int kStoreSegmentBits = 1 << 20;
+
 /**
  * A store with empty, short and multi-byte-varint signatures, in the
  * bytes EnrollmentStoreWriter produces.
@@ -326,7 +332,7 @@ generatedStore(const std::string &path)
             cell += 1 + static_cast<uint32_t>(rng.below(c % 4 ? 300 : 70000));
             sig.cells.push_back(cell);
         }
-        writer.append(id, {id % 977, 65536}, sig);
+        writer.append(id, {id % 977, kStoreSegmentBits}, sig);
     }
     writer.finish();
     return readBytes(path);
@@ -361,15 +367,30 @@ struct Answer
     bool operator==(const Answer &) const = default;
 };
 
+/**
+ * Ask one read path about one device. A signature it returns must
+ * hold strictly ascending cells below the segment_bits of the record
+ * it was decoded from, which `segmentBits` reads.
+ */
 Answer
-ask(const EnrollmentBackend &store, uint64_t id)
+ask(const EnrollmentBackend &store, uint64_t id,
+    const std::function<uint32_t()> &segmentBits, size_t &decoded)
 {
     Answer a;
     a.known = store.contains(id);
     a.fatal = !survives([&] {
-        if (auto sig = store.lookup(id))
+        if (auto sig = store.lookup(id)) {
             a.cells = sig->cells;
+            ++decoded;
+        }
     });
+    if (!a.cells.empty()) {
+        EXPECT_EQ(std::adjacent_find(a.cells.begin(), a.cells.end(),
+                                     std::greater_equal<uint32_t>()),
+                  a.cells.end())
+            << "device " << id;
+        EXPECT_LT(a.cells.back(), segmentBits()) << "device " << id;
+    }
     return a;
 }
 
@@ -382,6 +403,8 @@ TEST(ReaderFuzz, StoreMutantsLoadOrRaiseFatalErrorAndPathsAgree)
         probe_ids.push_back(storeId(i));
 
     size_t both_accepted = 0;
+    size_t heap_decoded = 0;
+    size_t mmap_decoded = 0;
     for (const Mutant &m : mutants(seed, storeFields(seed), 600, 5)) {
         writeBytes(path, m.bytes);
         AllocationWatch watch;
@@ -396,9 +419,24 @@ TEST(ReaderFuzz, StoreMutantsLoadOrRaiseFatalErrorAndPathsAgree)
         for (uint64_t id : ids) {
             std::optional<Answer> from_heap, from_mmap;
             if (heap)
-                from_heap = ask(*heap, id);
+                from_heap = ask(
+                    *heap, id,
+                    [&] { return heap->record(id)->segment_bits; },
+                    heap_decoded);
             if (mapped)
-                from_mmap = ask(*mapped, id);
+                from_mmap = ask(
+                    *mapped, id,
+                    [&] {
+                        // The lookup succeeded, so the mapped path's
+                        // parser accepts this record too.
+                        const StoreFileView view(
+                            reinterpret_cast<const uint8_t *>(
+                                m.bytes.data()),
+                            m.bytes.size(), "mutant");
+                        return view.record(view.findSlot(id))
+                            .segment_bits;
+                    },
+                    mmap_decoded);
             if (heap && mapped) {
                 EXPECT_EQ(*from_heap, *from_mmap)
                     << m.what << ": device " << id;
@@ -412,9 +450,11 @@ TEST(ReaderFuzz, StoreMutantsLoadOrRaiseFatalErrorAndPathsAgree)
         EXPECT_LE(watch.largest(), std::max(m.bytes.size(), kAllocSlack))
             << m.what;
     }
-    // The comparison above must not be vacuous: blob and payload
-    // flips leave both paths accepting the file.
+    // The checks above must not be vacuous: blob and payload flips
+    // leave both paths accepting the file and decoding signatures.
     EXPECT_GT(both_accepted, 0u);
+    EXPECT_GT(heap_decoded, 0u);
+    EXPECT_GT(mmap_decoded, 0u);
     fs::remove(path);
 }
 

@@ -18,11 +18,13 @@
 
 #include "common/logging.h"
 #include "common/run_options.h"
+#include "common/varint.h"
 #include "fleet/admission.h"
 #include "fleet/auth_service.h"
 #include "fleet/device_fleet.h"
 #include "fleet/enrollment_store.h"
 #include "fleet/region.h"
+#include "fleet/store_format.h"
 #include "fleet/store_mmap.h"
 
 namespace codic {
@@ -361,6 +363,91 @@ TEST(MmapEnrollmentStore, RejectsAnIndexOffsetOffItsRecord)
         EXPECT_THROW(mm.lookup(device), FatalError);
         fs::remove(path);
     }
+}
+
+/**
+ * A one-record store image for device 7 whose cell list is `deltas`,
+ * varint-encoded as written, in a `segment_bits`-bit segment.
+ */
+std::string
+craftedStore(uint32_t segment_bits, std::initializer_list<uint64_t> deltas)
+{
+    EnrollmentRecord rec;
+    rec.device_id = 7;
+    rec.segment_id = 3;
+    rec.segment_bits = segment_bits;
+    rec.cell_count = static_cast<uint32_t>(deltas.size());
+    for (uint64_t d : deltas)
+        putVarint(rec.blob, d);
+    std::ostringstream out;
+    writeStoreHeader(out, 1, 1, kStoreHeaderBytes + storeRecordBytes(rec));
+    writeStoreRecord(out, rec);
+    writeStoreIndexEntry(out, rec.device_id, kStoreHeaderBytes);
+    return out.str();
+}
+
+/** The FatalError message a lookup of device 7 raises, or "". */
+std::string
+lookupError(const EnrollmentBackend &store)
+{
+    try {
+        store.lookup(7);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(EnrollmentStore, LookupsRejectCorruptCellLists)
+{
+    // Cell lists that decode without complaint unless every delta is
+    // checked: repeated cells, a delta past 32 bits (truncated to 1), a
+    // 32-bit delta that wraps below the previous cell, and cells at or
+    // past the segment's end. Both read paths must refuse them.
+    const struct
+    {
+        uint32_t segment_bits;
+        std::initializer_list<uint64_t> deltas;
+        const char *why;
+    } corrupt[] = {
+        {65536, {5, 0, 0}, "repeats cell 5"},
+        {65536, {(1ull << 32) + 1}, "overflows 32 bits"},
+        {65536, {9, 0xFFFFFFFF}, "overflows 32 bits"},
+        {65536, {2097151}, "outside its 65536-bit segment"},
+        {64, {10, 54}, "outside its 64-bit segment"},
+        {64, {63, 1}, "outside its 64-bit segment"},
+        {0, {0}, "outside its 0-bit segment"},
+    };
+    const std::string path = tempPath("codic_test_corrupt_cells.bin");
+    for (const auto &c : corrupt) {
+        const std::string bytes = craftedStore(c.segment_bits, c.deltas);
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << bytes;
+        }
+        const EnrollmentStore heap = EnrollmentStore::loadBinary(bytes);
+        const MmapEnrollmentStore mapped(path);
+        for (const EnrollmentBackend *store :
+             {static_cast<const EnrollmentBackend *>(&heap),
+              static_cast<const EnrollmentBackend *>(&mapped)}) {
+            ASSERT_TRUE(store->contains(7));
+            const std::string error = lookupError(*store);
+            EXPECT_NE(error.find("device 7"), std::string::npos) << c.why;
+            EXPECT_NE(error.find(c.why), std::string::npos) << error;
+        }
+    }
+    // The edges of a valid list still decode: a first cell of 0, unit
+    // steps, and the segment's last cell.
+    const std::string bytes = craftedStore(64, {0, 1, 62});
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << bytes;
+    }
+    EXPECT_EQ(*EnrollmentStore::loadBinary(bytes).lookup(7),
+              cellsResponse({0, 1, 63}));
+    EXPECT_EQ(*MmapEnrollmentStore(path).lookup(7),
+              cellsResponse({0, 1, 63}));
+    fs::remove(path);
 }
 
 TEST(MmapEnrollmentStore, SyntheticStoreIsDeterministic)
