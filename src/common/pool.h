@@ -115,6 +115,9 @@ class SlotArena
  * Index math is a mask, growth doubles the slab (rare: steady-state
  * occupancy is bounded by the consumer), and unlike std::deque there
  * is no per-chunk indirection or allocation on the push/pop path.
+ * Entries are indexed from the front; insert() and erase() keep that
+ * order, so a queue that is mostly FIFO pays a shift only for the
+ * entries it takes or places out of order.
  */
 template <typename T>
 class RingBuffer
@@ -129,6 +132,30 @@ class RingBuffer
         return slab_[head_];
     }
 
+    const T &back() const
+    {
+        CODIC_ASSERT(size_ > 0);
+        return (*this)[size_ - 1];
+    }
+
+    /** Entry `i` counted from the front (unchecked). */
+    T &operator[](size_t i)
+    {
+        return slab_[(head_ + i) & (slab_.size() - 1)];
+    }
+
+    const T &operator[](size_t i) const
+    {
+        return slab_[(head_ + i) & (slab_.size() - 1)];
+    }
+
+    /** Grow the slab now so that `n` entries fit without allocating. */
+    void reserve(size_t n)
+    {
+        while (slab_.size() < n)
+            grow();
+    }
+
     void push_back(const T &value)
     {
         if (size_ == slab_.size())
@@ -141,6 +168,29 @@ class RingBuffer
     {
         CODIC_ASSERT(size_ > 0);
         head_ = (head_ + 1) & (slab_.size() - 1);
+        --size_;
+    }
+
+    /** Insert `value` before entry `i` (i == size() appends). */
+    void insert(size_t i, const T &value)
+    {
+        CODIC_ASSERT(i <= size_);
+        push_back(value);
+        for (size_t k = size_ - 1; k > i; --k)
+            (*this)[k] = (*this)[k - 1];
+        (*this)[i] = value;
+    }
+
+    /** Remove entry `i`; the front pops without moving the rest. */
+    void erase(size_t i)
+    {
+        CODIC_ASSERT(i < size_);
+        if (i == 0) {
+            pop_front();
+            return;
+        }
+        for (size_t k = i; k + 1 < size_; ++k)
+            (*this)[k] = (*this)[k + 1];
         --size_;
     }
 

@@ -121,14 +121,20 @@ Histogram::ascii() const
 double
 percentile(std::vector<double> samples, double p)
 {
-    CODIC_ASSERT(!samples.empty());
-    CODIC_ASSERT(p >= 0.0 && p <= 100.0);
     std::sort(samples.begin(), samples.end());
-    const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
+    return sortedPercentile(samples, p);
+}
+
+double
+sortedPercentile(const std::vector<double> &sorted, double p)
+{
+    CODIC_ASSERT(!sorted.empty());
+    CODIC_ASSERT(p >= 0.0 && p <= 100.0);
+    const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
     const size_t lo = static_cast<size_t>(std::floor(rank));
     const size_t hi = static_cast<size_t>(std::ceil(rank));
     const double frac = rank - static_cast<double>(lo);
-    return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 } // namespace codic

@@ -112,6 +112,12 @@ class Histogram
 /** Percentile over a copy of the sample vector (p in [0,100]). */
 double percentile(std::vector<double> samples, double p);
 
+/**
+ * percentile() of samples already sorted ascending: a caller that
+ * reads several percentiles of one vector sorts it once.
+ */
+double sortedPercentile(const std::vector<double> &sorted, double p);
+
 } // namespace codic
 
 #endif // CODIC_COMMON_STATS_H

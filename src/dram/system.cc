@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "trace/recorder.h"
 
 namespace codic {
 
@@ -45,89 +44,16 @@ DramSystem::controller(int i)
     return *controllers_[static_cast<size_t>(i)];
 }
 
-// System tickets pack (channel, channel-local ticket) as
-// (local << channel_bits_) | channel, so routing a ticket back needs
-// no table and no divide. A local ticket is never 0, so neither is a
-// system ticket: kInvalidTicket is never produced.
-
-Ticket
-DramSystem::packTicket(int channel, Ticket local) const
-{
-    return (local << channel_bits_) | static_cast<Ticket>(channel);
-}
-
-int
-DramSystem::ticketChannel(Ticket ticket) const
-{
-    CODIC_ASSERT(ticket != kInvalidTicket);
-    const int channel =
-        static_cast<int>(ticket & ((Ticket{1} << channel_bits_) - 1));
-    CODIC_ASSERT(channel < channelCount());
-    return channel;
-}
-
-Ticket
-DramSystem::ticketLocal(Ticket ticket) const
-{
-    return ticket >> channel_bits_;
-}
-
-Address
-DramSystem::tapAndDecode(const MemTransaction &txn) const
-{
-    if (TraceRecorder::active())
-        TraceRecorder::tap(txn);
-    return map_.decode(txn.addr);
-}
-
-Ticket
-DramSystem::submit(const MemTransaction &txn)
-{
-    // Decode once: the coordinates route the transaction AND ride
-    // into the owning controller's queue entry.
-    const Address addr = tapAndDecode(txn);
-    const Ticket local = controller(addr.channel).submit(txn, addr);
-    return packTicket(addr.channel, local);
-}
-
-Cycle
-DramSystem::complete(const MemTransaction &txn)
-{
-    const Address addr = tapAndDecode(txn);
-    return controllers_[static_cast<size_t>(addr.channel)]->complete(
-        txn, addr);
-}
-
-Cycle
-DramSystem::acceptedAt(Ticket ticket) const
-{
-    return controllers_[static_cast<size_t>(ticketChannel(ticket))]
-        ->acceptedAt(ticketLocal(ticket));
-}
-
-Cycle
-DramSystem::completionOf(Ticket ticket)
-{
-    return controller(ticketChannel(ticket))
-        .completionOf(ticketLocal(ticket));
-}
-
-void
-DramSystem::retire(Ticket ticket)
-{
-    controller(ticketChannel(ticket)).retire(ticketLocal(ticket));
-}
-
 void
 DramSystem::onComplete(Ticket ticket, CompletionCallback fn)
 {
     // The consumer registered against the system ticket, so the
     // channel-local firing re-translates before invoking.
-    controller(ticketChannel(ticket))
-        .onComplete(ticketLocal(ticket),
-                    [fn = std::move(fn), ticket](Ticket, Cycle done) {
-                        fn(ticket, done);
-                    });
+    controllers_[ticketChannel(ticket)]->onComplete(
+        ticketLocal(ticket),
+        [fn = std::move(fn), ticket](Ticket, Cycle done) {
+            fn(ticket, done);
+        });
 }
 
 size_t

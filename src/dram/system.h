@@ -27,11 +27,12 @@
 #include "dram/config.h"
 #include "mem/controller.h"
 #include "mem/service.h"
+#include "trace/recorder.h"
 
 namespace codic {
 
 /** N-channel DRAM module with per-channel controllers. */
-class DramSystem : public MemoryService
+class DramSystem final : public MemoryService
 {
   public:
     /**
@@ -68,18 +69,47 @@ class DramSystem : public MemoryService
 
     // MemoryService: route each transaction to the owning channel's
     // controller. System tickets pack (local ticket, channel) into
-    // bit fields, so routing a resolution back is stateless.
-    Ticket submit(const MemTransaction &txn) override;
-    Cycle acceptedAt(Ticket ticket) const override;
-    Cycle completionOf(Ticket ticket) override;
-    void retire(Ticket ticket) override;
+    // bit fields, so routing a resolution back is stateless. The
+    // class is final and the routing inline, so a caller holding a
+    // DramSystem pays no virtual call or extra frame per transaction.
+
+    Ticket submit(const MemTransaction &txn) override
+    {
+        // Decode once: the coordinates route the transaction AND ride
+        // into the owning controller's queue entry.
+        const Address addr = tapAndDecode(txn);
+        const Ticket local = ownerOf(addr).submit(txn, addr);
+        return packTicket(addr.channel, local);
+    }
+
+    Cycle acceptedAt(Ticket ticket) const override
+    {
+        return controllers_[ticketChannel(ticket)]->acceptedAt(
+            ticketLocal(ticket));
+    }
+
+    Cycle completionOf(Ticket ticket) override
+    {
+        return controllers_[ticketChannel(ticket)]->completionOf(
+            ticketLocal(ticket));
+    }
+
+    void retire(Ticket ticket) override
+    {
+        controllers_[ticketChannel(ticket)]->retire(ticketLocal(ticket));
+    }
+
     void onComplete(Ticket ticket, CompletionCallback fn) override;
 
     /**
      * Route to the owning controller's complete(): the recording tap
      * and the address decode run once, as in submit().
      */
-    Cycle complete(const MemTransaction &txn) override;
+    Cycle complete(const MemTransaction &txn) override
+    {
+        const Address addr = tapAndDecode(txn);
+        return ownerOf(addr).complete(txn, addr);
+    }
 
     /** Advance every channel's scheduler to `now`. */
     size_t poll(Cycle now) override;
@@ -139,14 +169,43 @@ class DramSystem : public MemoryService
      * Offer `txn` to the TraceRecorder tap and decode its address:
      * the one entry step of submit() and complete().
      */
-    Address tapAndDecode(const MemTransaction &txn) const;
+    Address tapAndDecode(const MemTransaction &txn) const
+    {
+        if (TraceRecorder::active())
+            TraceRecorder::tap(txn);
+        return map_.decode(txn.addr);
+    }
 
-    /** Pack a channel-local ticket into a system ticket. */
-    Ticket packTicket(int channel, Ticket local) const;
+    /** The controller of a decoded address's channel. */
+    MemoryController &ownerOf(const Address &addr)
+    {
+        return *controllers_[static_cast<size_t>(addr.channel)];
+    }
 
-    /** Channel / local-ticket components of a system ticket. */
-    int ticketChannel(Ticket ticket) const;
-    Ticket ticketLocal(Ticket ticket) const;
+    // System tickets pack (channel, channel-local ticket) as
+    // (local << channel_bits_) | channel, so routing a ticket back
+    // needs no table and no divide. A local ticket is never 0, so
+    // neither is a system ticket: kInvalidTicket is never produced.
+
+    Ticket packTicket(int channel, Ticket local) const
+    {
+        return (local << channel_bits_) | static_cast<Ticket>(channel);
+    }
+
+    /** Index of a system ticket's channel in controllers_. */
+    size_t ticketChannel(Ticket ticket) const
+    {
+        CODIC_ASSERT(ticket != kInvalidTicket);
+        const size_t channel = static_cast<size_t>(
+            ticket & ((Ticket{1} << channel_bits_) - 1));
+        CODIC_ASSERT(channel < controllers_.size());
+        return channel;
+    }
+
+    Ticket ticketLocal(Ticket ticket) const
+    {
+        return ticket >> channel_bits_;
+    }
 
     DramConfig config_;
     AddressMap map_;

@@ -82,13 +82,14 @@ AddressMap::AddressMap(const DramConfig &config, MapScheme scheme)
     capacity_ = static_cast<uint64_t>(config_.capacityBytes());
 
     pow2_ = isPow2(static_cast<uint64_t>(config_.burst_bytes));
-    burst_shift_ =
-        log2Of(static_cast<uint64_t>(config_.burst_bytes));
+    int lsb = log2Of(static_cast<uint64_t>(config_.burst_bytes));
     for (size_t i = 0; i < order_.size(); ++i) {
         sizes_[i] = fieldSize(order_[i]);
         pow2_ = pow2_ && isPow2(sizes_[i]);
-        shift_[i] = log2Of(sizes_[i]);
-        mask_[i] = sizes_[i] - 1;
+        const size_t f = static_cast<size_t>(order_[i]);
+        lsb_[f] = lsb;
+        mask_[f] = sizes_[i] - 1;
+        lsb += log2Of(sizes_[i]);
     }
 }
 
@@ -108,23 +109,13 @@ AddressMap::fieldSize(Field f) const
 }
 
 Address
-AddressMap::decode(uint64_t phys_addr) const
+AddressMap::decodeChain(uint64_t phys_addr) const
 {
-    CODIC_ASSERT(phys_addr < capacity_);
-    uint64_t x = pow2_
-                     ? phys_addr >> burst_shift_
-                     : phys_addr /
-                           static_cast<uint64_t>(config_.burst_bytes);
+    uint64_t x = phys_addr / static_cast<uint64_t>(config_.burst_bytes);
     Address a;
     for (size_t i = 0; i < order_.size(); ++i) {
-        uint64_t v;
-        if (pow2_) {
-            v = x & mask_[i];
-            x >>= shift_[i];
-        } else {
-            v = x % sizes_[i];
-            x /= sizes_[i];
-        }
+        const uint64_t v = x % sizes_[i];
+        x /= sizes_[i];
         switch (order_[i]) {
           case Field::Channel: a.channel = static_cast<int>(v); break;
           case Field::Rank: a.rank = static_cast<int>(v); break;
@@ -153,12 +144,6 @@ AddressMap::encode(const Address &a) const
         x = x * fieldSize(*it) + v;
     }
     return x * static_cast<uint64_t>(config_.burst_bytes);
-}
-
-int
-AddressMap::channelOf(uint64_t phys_addr) const
-{
-    return decode(phys_addr).channel;
 }
 
 } // namespace codic

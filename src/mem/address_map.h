@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.h"
 #include "dram/command.h"
 #include "dram/config.h"
 
@@ -56,14 +57,38 @@ class AddressMap
     AddressMap(const DramConfig &config,
                MapScheme scheme = MapScheme::RowBankColumn);
 
-    /** Decompose a physical byte address. */
-    Address decode(uint64_t phys_addr) const;
+    /**
+     * Decompose a physical byte address. When every field size and
+     * the burst size are powers of two, as in every preset module,
+     * each field is one shift and mask of the address; any other
+     * geometry (e.g. three channels) takes the div/mod chain.
+     */
+    Address decode(uint64_t phys_addr) const
+    {
+        CODIC_ASSERT(phys_addr < capacity_);
+        if (!pow2_)
+            return decodeChain(phys_addr);
+        const auto field = [&](Field f) {
+            const size_t i = static_cast<size_t>(f);
+            return (phys_addr >> lsb_[i]) & mask_[i];
+        };
+        Address a;
+        a.channel = static_cast<int>(field(Field::Channel));
+        a.rank = static_cast<int>(field(Field::Rank));
+        a.bank = static_cast<int>(field(Field::Bank));
+        a.row = static_cast<int64_t>(field(Field::Row));
+        a.column = static_cast<int>(field(Field::Column));
+        return a;
+    }
 
     /** Recompose a physical byte address (inverse of decode). */
     uint64_t encode(const Address &addr) const;
 
     /** Channel owning a physical byte address. */
-    int channelOf(uint64_t phys_addr) const;
+    int channelOf(uint64_t phys_addr) const
+    {
+        return decode(phys_addr).channel;
+    }
 
     /** The scheme in use. */
     MapScheme scheme() const { return scheme_; }
@@ -78,11 +103,14 @@ class AddressMap
     int64_t capacityBytes() const { return config_.capacityBytes(); }
 
   private:
-    /** Coordinate fields, in decode (LSB-first) order per scheme. */
+    /** Coordinate fields; order_ lists them LSB-first per scheme. */
     enum class Field : uint8_t { Channel, Rank, Bank, Row, Column };
 
     uint64_t fieldSize(Field f) const;
     static std::array<Field, 5> fieldOrder(MapScheme s);
+
+    /** decode() for a geometry with a field that is not a power of two. */
+    Address decodeChain(uint64_t phys_addr) const;
 
     DramConfig config_;
     MapScheme scheme_;
@@ -94,15 +122,14 @@ class AddressMap
     /** Field sizes in order_ order, cached off the config. */
     std::array<uint64_t, 5> sizes_{};
 
-    /**
-     * Power-of-two fast path: every real module geometry (and the
-     * burst size) is a power of two, so decode's per-field div/mod
-     * chain collapses to shifts and masks. Falls back to the generic
-     * chain for exotic test geometries.
-     */
+    /** Every field size and the burst size is a power of two. */
     bool pow2_ = false;
-    int burst_shift_ = 0;
-    std::array<int, 5> shift_{};
+    /**
+     * With pow2_: each field's lowest address bit and its mask,
+     * indexed by Field, so decode() reads the five fields
+     * independently.
+     */
+    std::array<int, 5> lsb_{};
     std::array<uint64_t, 5> mask_{};
 };
 

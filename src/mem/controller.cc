@@ -205,12 +205,8 @@ MemoryController::drainBankTo(int rank, int bank, size_t target,
 }
 
 void
-MemoryController::flushRow(const Address &addr, Cycle not_before)
+MemoryController::flushRowWrites(const Address &addr, Cycle not_before)
 {
-    // Cheap early-out on the read path: most reads hit banks with no
-    // buffered writes at all.
-    if (pending_writes_.empty() || bank_pending_[bankIndex(addr)] == 0)
-        return;
     // All of the row's pending writes, issued exactly like a drain
     // batch - forwarding-forced and watermark-scheduled drains of
     // the same writes model identical cycles.
@@ -374,13 +370,10 @@ MemoryController::issueRowOp(const MemTransaction &txn, Address addr)
 }
 
 size_t
-MemoryController::pickRequestIndex(Cycle arrival_bound) const
+MemoryController::scanReadWindow(Cycle arrival_bound) const
 {
     const size_t window = std::min(
-        read_q_.size(),
-        static_cast<size_t>(std::max(1, sched_.read_window)));
-    if (window <= 1 || head_bypasses_ >= kReadStarvationLimit)
-        return 0;
+        read_q_.size(), static_cast<size_t>(sched_.read_window));
 
     // Priority scheduling: the most urgent class (lowest priority
     // value) among arrived requests in the window is served first;
@@ -450,25 +443,29 @@ Cycle
 MemoryController::serviceNextRequest()
 {
     CODIC_ASSERT(!read_q_.empty());
-    // Default scheduling horizon: everything that has arrived by the
-    // time the channel could service the queue head counts as
-    // pending for row-hit bypass.
-    return serviceOneRequest(std::max(read_q_.front().txn.arrival,
-                                      channel_.lastIssueCycle()));
+    return serviceOneRequest(defaultHorizon());
+}
+
+MemoryController::Serviced
+MemoryController::issuePicked(Cycle arrival_bound)
+{
+    CODIC_ASSERT(!read_q_.empty());
+    const size_t pick = pickRequestIndex(arrival_bound);
+    head_bypasses_ = pick == 0 ? 0 : head_bypasses_ + 1;
+    // Issued in place: issuing touches the channel, the write queue
+    // and the roll-ups, never read_q_ (callbacks may not re-enter).
+    const QueuedRequest &req = read_q_[pick];
+    const Serviced s{req.ticket, serviceRequest(req.txn, req.addr)};
+    read_q_.erase(pick);
+    return s;
 }
 
 Cycle
 MemoryController::serviceOneRequest(Cycle arrival_bound)
 {
-    CODIC_ASSERT(!read_q_.empty());
-    const size_t pick = pickRequestIndex(arrival_bound);
-    head_bypasses_ = pick == 0 ? 0 : head_bypasses_ + 1;
-    const QueuedRequest req = read_q_[pick];
-    read_q_.erase(read_q_.begin() +
-                  static_cast<std::ptrdiff_t>(pick));
-    const Cycle done = serviceRequest(req.txn, req.addr);
-    markCompleted(req.ticket, done);
-    return done;
+    const Serviced s = issuePicked(arrival_bound);
+    markCompleted(s.ticket, s.done);
+    return s.done;
 }
 
 Cycle
@@ -493,18 +490,14 @@ MemoryController::serviceRequest(const MemTransaction &txn,
 }
 
 OriginCounts &
-MemoryController::originSlot(uint64_t origin)
+MemoryController::indexOrigin(uint64_t origin)
 {
-    OriginMemo &memo = origin_memo_[(origin * 0x9e3779b97f4a7c15ULL) >>
-                                    (64 - kOriginMemoBits)];
-    if (memo.index == UINT32_MAX || memo.origin != origin) {
-        const auto [it, fresh] = origin_index_.try_emplace(
-            origin, static_cast<uint32_t>(origin_counts_.size()));
-        if (fresh)
-            origin_counts_.push_back(OriginCounts{.origin = origin});
-        memo = {origin, it->second};
-    }
-    return origin_counts_[memo.index];
+    const auto [it, fresh] = origin_index_.try_emplace(
+        origin, static_cast<uint32_t>(origin_counts_.size()));
+    if (fresh)
+        origin_counts_.push_back(OriginCounts{.origin = origin});
+    origin_memo_[memoSlot(origin)] = {origin, it->second};
+    return origin_counts_[it->second];
 }
 
 std::vector<OriginCounts>
@@ -640,14 +633,16 @@ MemoryController::submit(const MemTransaction &txn,
         // Keep the queue sorted by arrival with submission order
         // breaking ties, so multi-ticket consumers see the same
         // near-global-time issue order at any harvest order. Arrivals
-        // are usually nondecreasing, so scanning from the back finds
-        // the insertion point in O(1) for the common case.
-        size_t pos = read_q_.size();
+        // are usually nondecreasing: one not earlier than the tail's
+        // is appended, any other scans back for its place.
+        if (read_q_.empty() || txn.arrival >= read_q_.back().txn.arrival) {
+            read_q_.push_back(QueuedRequest{txn, ticket, addr});
+            break;
+        }
+        size_t pos = read_q_.size() - 1;
         while (pos > 0 && txn.arrival < read_q_[pos - 1].txn.arrival)
             --pos;
-        read_q_.insert(read_q_.begin() +
-                           static_cast<std::ptrdiff_t>(pos),
-                       QueuedRequest{txn, ticket, addr});
+        read_q_.insert(pos, QueuedRequest{txn, ticket, addr});
         break;
       }
       case TxnKind::Write: {
@@ -699,6 +694,12 @@ MemoryController::acceptedAt(Ticket ticket) const
 Cycle
 MemoryController::completionOf(Ticket ticket)
 {
+#ifndef NDEBUG
+    // Servicing issues the picked request in place (issuePicked), so
+    // a callback must not re-enter and reshape the read queue.
+    CODIC_ASSERT(!in_callback_,
+                 "completionOf() called from inside a completion callback");
+#endif
     TxnRecord *rec = records_.find(ticket);
     CODIC_ASSERT(rec != nullptr,
                  "completionOf: unknown or already-resolved ticket");
@@ -720,9 +721,16 @@ MemoryController::completionOf(Ticket ticket)
             // The write is still buffered: drain batches (oldest
             // first) until its batch issues.
             drainOneBatch(channel_.lastIssueCycle());
-        } else {
-            serviceNextRequest();
+            continue;
         }
+        // The request this call resolves is released here directly:
+        // its record is `rec`, and no callback can own it.
+        const Serviced s = issuePicked(defaultHorizon());
+        if (s.ticket == ticket) {
+            records_.release(ticket);
+            return s.done;
+        }
+        markCompleted(s.ticket, s.done);
     }
     const Cycle done = rec->completion;
     records_.release(ticket);
@@ -738,6 +746,10 @@ MemoryController::retire(Ticket ticket)
 size_t
 MemoryController::poll(Cycle now)
 {
+#ifndef NDEBUG
+    CODIC_ASSERT(!in_callback_,
+                 "poll() called from inside a completion callback");
+#endif
     for (int r = 0; r < channel_.config().ranks; ++r)
         catchUpRefresh(r, now);
     size_t serviced = 0;

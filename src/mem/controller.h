@@ -305,9 +305,17 @@ class MemoryController : public MemoryService
     /**
      * Issue every pending write to `addr`'s row (the write-forwarding
      * surrogate: a read or destructive row op must observe writes
-     * accepted before it).
+     * accepted before it). The check is inline: most reads hit banks
+     * with no buffered writes at all.
      */
-    void flushRow(const Address &addr, Cycle not_before);
+    void flushRow(const Address &addr, Cycle not_before)
+    {
+        if (bank_pending_[bankIndex(addr)] != 0)
+            flushRowWrites(addr, not_before);
+    }
+
+    /** flushRow() for a bank with pending writes. */
+    void flushRowWrites(const Address &addr, Cycle not_before);
 
     /** Accept one write (old blocking-write body); acceptance cycle. */
     Cycle acceptWrite(const Address &addr, Cycle now, Ticket ticket);
@@ -317,12 +325,43 @@ class MemoryController : public MemoryService
      * a row-hit read within the policy window whose arrival is
      * within `arrival_bound` (see class comment).
      */
-    size_t pickRequestIndex(Cycle arrival_bound) const;
+    size_t pickRequestIndex(Cycle arrival_bound) const
+    {
+        // FR-FCFS must take the head when it is alone in the window,
+        // aged out, a row op (a barrier), or - without priorities -
+        // an arrived row hit (the scan's first candidate and pick, as
+        // nothing is older): then the scan would return it too.
+        const QueuedRequest &head = read_q_.front();
+        if (read_q_.size() == 1 || sched_.read_window <= 1 ||
+            head_bypasses_ >= kReadStarvationLimit ||
+            head.txn.kind == TxnKind::RowOp)
+            return 0;
+        if (!sched_.priority_sched && head.txn.arrival <= arrival_bound &&
+            channel_.bankActive(head.addr.rank, head.addr.bank) &&
+            channel_.openRow(head.addr.rank, head.addr.bank) ==
+                head.addr.row)
+            return 0;
+        return scanReadWindow(arrival_bound);
+    }
+
+    /** pickRequestIndex() when the head is not a forced pick. */
+    size_t scanReadWindow(Cycle arrival_bound) const;
+
+    /** A queued request the scheduler just issued. */
+    struct Serviced
+    {
+        Ticket ticket;
+        Cycle done;
+    };
 
     /**
      * Issue the picked queued request, bounding row-hit bypass to
-     * requests arrived by `arrival_bound`; record its completion.
+     * requests arrived by `arrival_bound`, and dequeue it. The caller
+     * records the completion (see serviceOneRequest()).
      */
+    Serviced issuePicked(Cycle arrival_bound);
+
+    /** issuePicked(), then record the serviced ticket's completion. */
     Cycle serviceOneRequest(Cycle arrival_bound);
 
     /**
@@ -333,10 +372,17 @@ class MemoryController : public MemoryService
     Cycle serviceRequest(const MemTransaction &txn, const Address &addr);
 
     /**
-     * serviceOneRequest() at the default scheduling horizon:
-     * everything arrived by the time the channel could service the
-     * queue head (max of head arrival and last issue cycle).
+     * The default scheduling horizon: everything arrived by the time
+     * the channel could service the queue head (max of head arrival
+     * and last issue cycle) counts as pending for row-hit bypass.
      */
+    Cycle defaultHorizon() const
+    {
+        return std::max(read_q_.front().txn.arrival,
+                        channel_.lastIssueCycle());
+    }
+
+    /** serviceOneRequest() at defaultHorizon(). */
     Cycle serviceNextRequest();
 
     /**
@@ -371,8 +417,20 @@ class MemoryController : public MemoryService
      */
     void serviceUrgentReads(Cycle not_before);
 
-    /** Roll-up slot for `origin`, appended on first use. */
-    OriginCounts &originSlot(uint64_t origin);
+    /**
+     * Roll-up slot for `origin`, appended on first use. A memo hit
+     * is inline; a miss takes indexOrigin().
+     */
+    OriginCounts &originSlot(uint64_t origin)
+    {
+        const OriginMemo &memo = origin_memo_[memoSlot(origin)];
+        if (memo.index != UINT32_MAX && memo.origin == origin)
+            return origin_counts_[memo.index];
+        return indexOrigin(origin);
+    }
+
+    /** originSlot() past the memo: the hash index, then append. */
+    OriginCounts &indexOrigin(uint64_t origin);
 
     /** Record a ticket's completion if it is still tracked. */
     void markCompleted(Ticket ticket, Cycle completion);
@@ -396,9 +454,10 @@ class MemoryController : public MemoryService
     /**
      * Queued reads/row ops, sorted by arrival with submission order
      * breaking ties. Bounded by read_queue_entries and reserved up
-     * front, like pending_writes_.
+     * front, like pending_writes_; a ring, so servicing the head (the
+     * common pick) moves no other entry.
      */
-    std::vector<QueuedRequest> read_q_;
+    RingBuffer<QueuedRequest> read_q_;
     /**
      * Resolution state per live ticket: a ticket IS the arena handle
      * (generation-tagged slot), so submit/resolve/retire recycle
@@ -425,6 +484,11 @@ class MemoryController : public MemoryService
     };
     /** Memo slot of origin o: the top bits of o * 2^64 / phi. */
     static constexpr int kOriginMemoBits = 6;
+    static size_t memoSlot(uint64_t origin)
+    {
+        return static_cast<size_t>((origin * 0x9e3779b97f4a7c15ULL) >>
+                                   (64 - kOriginMemoBits));
+    }
     std::array<OriginMemo, size_t{1} << kOriginMemoBits> origin_memo_{};
     /** Pending (unissued) writes per bank, indexed by bankIndex(). */
     std::vector<uint32_t> bank_pending_;

@@ -202,17 +202,20 @@ runTable1(RunContext &ctx)
     for (size_t i = 0; i < kNumSignals; ++i) {
         const auto sig = static_cast<Signal>(i);
         const auto pulse = mrf.decode().pulse(sig);
+        std::string pulse_text = "(disabled)";
+        if (pulse) {
+            pulse_text = "[";
+            pulse_text += std::to_string(pulse->start_ns);
+            pulse_text += ',';
+            pulse_text += std::to_string(pulse->end_ns);
+            pulse_text += ']';
+        }
         ctx.row("mode-register encoding of CODIC-sig (Section 4.2.2)",
                 ResultRow()
                     .add("signal", signalName(sig))
                     .add("mr_value",
                          static_cast<uint64_t>(mrf.readRegister(sig)))
-                    .add("pulse",
-                         pulse ? ("[" +
-                                  std::to_string(pulse->start_ns) +
-                                  "," + std::to_string(pulse->end_ns) +
-                                  "]")
-                               : "(disabled)"));
+                    .add("pulse", pulse_text));
     }
 }
 

@@ -737,10 +737,11 @@ runFleetRegionServing(RunContext &ctx)
             kRegionPresets[static_cast<size_t>(r) %
                            kRegionPresetCount];
         RegionConfig rc;
-        rc.name = std::string(preset.name) +
-                  (static_cast<size_t>(r) < kRegionPresetCount
-                       ? ""
-                       : "_" + std::to_string(r));
+        rc.name = preset.name;
+        if (static_cast<size_t>(r) >= kRegionPresetCount) {
+            rc.name += '_';
+            rc.name += std::to_string(r);
+        }
         rc.fleet = fleetConfigFor(
             ctx, static_cast<int64_t>(ctx.scaled(300)));
         // Distinct populations: regions never share device identity.

@@ -1,6 +1,5 @@
 #include "trace/recorder.h"
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 
@@ -13,8 +12,6 @@ namespace {
 
 std::mutex recorder_mutex;
 std::unique_ptr<TraceWriter> recorder_writer;
-// The hot-path gate: submit() reads this without the mutex.
-std::atomic<bool> recorder_active{false};
 
 TraceRecord
 recordOf(const MemTransaction &txn)
@@ -44,7 +41,7 @@ TraceRecorder::start(const std::string &path, const TraceMeta &meta)
     if (recorder_writer)
         fatal("trace recorder: a recording is already active");
     recorder_writer = std::make_unique<TraceWriter>(path, meta);
-    recorder_active.store(true, std::memory_order_release);
+    active_.store(true, std::memory_order_release);
 }
 
 uint64_t
@@ -53,17 +50,11 @@ TraceRecorder::stop()
     std::lock_guard<std::mutex> lock(recorder_mutex);
     if (!recorder_writer)
         return 0;
-    recorder_active.store(false, std::memory_order_release);
+    active_.store(false, std::memory_order_release);
     const uint64_t count = recorder_writer->recordCount();
     recorder_writer->finish();
     recorder_writer.reset();
     return count;
-}
-
-bool
-TraceRecorder::active()
-{
-    return recorder_active.load(std::memory_order_relaxed);
 }
 
 void

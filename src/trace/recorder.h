@@ -19,6 +19,7 @@
 #ifndef CODIC_TRACE_RECORDER_H
 #define CODIC_TRACE_RECORDER_H
 
+#include <atomic>
 #include <string>
 
 #include "mem/transaction.h"
@@ -44,10 +45,17 @@ class TraceRecorder
     static uint64_t stop();
 
     /** Cheap check compiled into DramSystem's entry hot path. */
-    static bool active();
+    static bool active()
+    {
+        return active_.load(std::memory_order_relaxed);
+    }
 
     /** Append one submitted transaction (no-op when inactive). */
     static void tap(const MemTransaction &txn);
+
+  private:
+    /** The hot-path gate: active() reads it without the mutex. */
+    static inline std::atomic<bool> active_{false};
 };
 
 } // namespace codic

@@ -67,13 +67,84 @@ TEST_P(ChannelMapTest, DecodeEncodeRoundTripAndInRange)
                   static_cast<uint64_t>(cfg.burst_bytes));
 }
 
+/**
+ * Reference decode written from the field orders MapScheme documents
+ * (most- to least-significant above the burst offset), by the
+ * div/mod chain: independent of AddressMap's per-field shift/mask
+ * path, which every power-of-two geometry takes, and of its own
+ * chain, which the others take.
+ */
+Address
+referenceDecode(const DramConfig &cfg, MapScheme scheme, uint64_t addr)
+{
+    enum Field { Ch, Rank, Row, Bank, Col };
+    std::vector<Field> msb_first;
+    switch (scheme) {
+      case MapScheme::RowBankColumn:
+        msb_first = {Ch, Rank, Row, Bank, Col};
+        break;
+      case MapScheme::BankRowColumn:
+        msb_first = {Ch, Rank, Bank, Row, Col};
+        break;
+      case MapScheme::RowBankColumnChannel:
+        msb_first = {Rank, Row, Bank, Col, Ch};
+        break;
+      case MapScheme::RowChannelBankColumn:
+        msb_first = {Rank, Row, Ch, Bank, Col};
+        break;
+      case MapScheme::RowBankRankColumn:
+        msb_first = {Ch, Row, Bank, Rank, Col};
+        break;
+    }
+    const int64_t sizes[] = {cfg.channels, cfg.ranks, cfg.rows, cfg.banks,
+                             cfg.columns};
+    uint64_t x = addr / static_cast<uint64_t>(cfg.burst_bytes);
+    Address a;
+    for (auto it = msb_first.rbegin(); it != msb_first.rend(); ++it) {
+        const uint64_t size = static_cast<uint64_t>(sizes[*it]);
+        const uint64_t v = x % size;
+        x /= size;
+        switch (*it) {
+          case Ch: a.channel = static_cast<int>(v); break;
+          case Rank: a.rank = static_cast<int>(v); break;
+          case Row: a.row = static_cast<int64_t>(v); break;
+          case Bank: a.bank = static_cast<int>(v); break;
+          case Col: a.column = static_cast<int>(v); break;
+        }
+    }
+    EXPECT_EQ(x, 0u) << "address past the module";
+    return a;
+}
+
+TEST_P(ChannelMapTest, DecodeMatchesDocumentedFieldOrder)
+{
+    const auto [scheme, channels, ranks] = GetParam();
+    const DramConfig cfg = DramConfig::ddr3_1600(256, channels, ranks);
+    AddressMap map(cfg, scheme);
+    const uint64_t capacity = static_cast<uint64_t>(map.capacityBytes());
+    const uint64_t burst = static_cast<uint64_t>(cfg.burst_bytes);
+    Rng rng(29);
+    std::vector<uint64_t> addrs = {0, burst - 1, burst, capacity - burst,
+                                   capacity - 1};
+    for (int i = 0; i < 2000; ++i)
+        addrs.push_back(rng.below(capacity)); // Unaligned too.
+    for (uint64_t addr : addrs) {
+        const Address a = map.decode(addr);
+        ASSERT_EQ(a, referenceDecode(cfg, scheme, addr)) << addr;
+        EXPECT_EQ(map.channelOf(addr), a.channel);
+        EXPECT_EQ(map.encode(a), addr / burst * burst);
+    }
+}
+
 std::vector<MapCase>
 allMapCases()
 {
+    // Channel and rank counts of 3 make rows a non-power of two as
+    // well, so both decode paths run for every scheme.
     std::vector<MapCase> cases;
     for (MapScheme s : allMapSchemes())
-        for (int channels : {1, 2, 4})
-            for (int ranks : {1, 2})
+        for (int channels : {1, 2, 3, 4})
+            for (int ranks : {1, 2, 3})
                 cases.push_back({s, channels, ranks});
     return cases;
 }

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -372,23 +373,62 @@ runBlockingScript(const DramConfig &config, bool use_complete,
     return log;
 }
 
+/** One module and scheduler runBlockingScript() is checked on. */
+struct ScriptCase
+{
+    int channels;
+    const char *sched;
+};
+
+constexpr ScriptCase kScriptCases[] = {
+    {1, "eager"},   {1, "batched"},   {1, "serving"},
+    {2, "eager"},   {2, "batched"},   {2, "serving"},
+    {1, "batched:refresh=auto"},
+};
+
+DramConfig
+scriptConfig(const ScriptCase &c)
+{
+    DramConfig config = DramConfig::ddr3_1600(256, c.channels);
+    config.scheduler = SchedulerPolicy::parse(c.sched);
+    return config;
+}
+
+/**
+ * FNV-1a over everything a run returns, counts and records: the
+ * returned cycles, the command and per-origin counts, the last issue
+ * cycle and the recording's record count and bytes.
+ */
+uint64_t
+scriptDigest(const ScriptLog &log)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    const auto byte = [&h](uint8_t b) {
+        h = (h ^ b) * 0x100000001b3ull;
+    };
+    const auto word = [&byte](uint64_t v) {
+        for (int i = 0; i < 8; ++i)
+            byte(static_cast<uint8_t>(v >> (8 * i)));
+    };
+    for (const std::vector<uint64_t> *v :
+         {&log.returned, &log.counts, &log.origins}) {
+        word(v->size());
+        for (uint64_t x : *v)
+            word(x);
+    }
+    word(static_cast<uint64_t>(log.last_issue));
+    word(log.recorded);
+    for (char c : log.recording)
+        byte(static_cast<uint8_t>(c));
+    return h;
+}
+
 TEST(Transaction, CompleteMatchesSubmitThenCompletionOf)
 {
-    struct Case
-    {
-        int channels;
-        const char *sched;
-    };
-    const Case cases[] = {
-        {1, "eager"},   {1, "batched"},   {1, "serving"},
-        {2, "eager"},   {2, "batched"},   {2, "serving"},
-        {1, "batched:refresh=auto"},
-    };
-    for (const Case &c : cases) {
+    for (const ScriptCase &c : kScriptCases) {
         SCOPED_TRACE(testing::Message()
                      << c.channels << " channel(s), " << c.sched);
-        DramConfig config = DramConfig::ddr3_1600(256, c.channels);
-        config.scheduler = SchedulerPolicy::parse(c.sched);
+        const DramConfig config = scriptConfig(c);
         const ScriptLog fast = runBlockingScript(config, true, 17);
         const ScriptLog queued = runBlockingScript(config, false, 17);
 
@@ -412,6 +452,31 @@ TEST(Transaction, CompleteMatchesSubmitThenCompletionOf)
         if (config.scheduler.auto_refresh) {
             EXPECT_GT(fast.counts[4], 0u) << "REFs issued";
         }
+    }
+}
+
+TEST(Transaction, QueuedScriptMatchesPinnedDigests)
+{
+    // The queued run of every case above, pinned to digests computed
+    // before the queued path's fast paths (the inline head pick,
+    // in-place service, ring read queue, direct resolve and the
+    // shift/mask decode). CompleteMatchesSubmitThenCompletionOf
+    // compares two paths of one build; this fails when a change
+    // moves any queued cycle, count, roll-up or recorded byte.
+    constexpr uint64_t kDigests[] = {
+        0x15521eda773b4daeull, 0x98f1241e94b58935ull,
+        0x6d34718cb73dd4e2ull, 0xb8db60418a88c1ccull,
+        0x47eba32d33dd7b4aull, 0x82a2356af9dffe94ull,
+        0xaef8841e7a631fc4ull,
+    };
+    static_assert(std::size(kDigests) == std::size(kScriptCases));
+    for (size_t i = 0; i < std::size(kScriptCases); ++i) {
+        const ScriptCase &c = kScriptCases[i];
+        const ScriptLog queued =
+            runBlockingScript(scriptConfig(c), false, 17);
+        EXPECT_EQ(scriptDigest(queued), kDigests[i])
+            << c.channels << " channel(s), " << c.sched << ": 0x"
+            << std::hex << scriptDigest(queued);
     }
 }
 
