@@ -30,18 +30,22 @@ CampaignEngine::forEach(size_t n,
     std::atomic<bool> failed{false};
     std::mutex error_mutex;
     std::exception_ptr error;
+    size_t error_index = n;
     const auto drain = [&] {
+        size_t i = 0;
         try {
             while (!failed) {
-                const size_t i = next++;
+                i = next++;
                 if (i >= n)
                     return;
                 fn(i);
             }
         } catch (...) {
             std::lock_guard<std::mutex> lk(error_mutex);
-            if (!error)
+            if (i < error_index) {
                 error = std::current_exception();
+                error_index = i;
+            }
             failed = true;
         }
     };

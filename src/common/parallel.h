@@ -49,8 +49,10 @@ class CampaignEngine
     /**
      * Execute fn(i) for every i in [0, n). Blocks until all tasks
      * complete. After the first exception thrown by a task no thread
-     * claims another index; the exception is rethrown here once every
-     * thread has stopped.
+     * claims another index. Once every thread has stopped, the
+     * exception of the lowest index that threw is rethrown here:
+     * indices are claimed in order, so every lower index has run, and
+     * deterministic tasks raise what the sequential loop raises.
      */
     void forEach(size_t n, const std::function<void(size_t)> &fn) const;
 

@@ -136,57 +136,47 @@ simulate(std::span<const Workload> traces, DeallocMode mode,
     return result;
 }
 
-/** One row of a Fig. 8 / Fig. 9 sweep: a name, one trace per core. */
-struct Case
-{
-    const std::string &name;
-    std::span<const Workload> traces;
-};
-
 /**
- * The comparison rows of `cases`, two campaign tasks per case: the
- * live software-zeroing run, and one cache pass (per core) that the
- * LISA-clone, RowClone and CODIC-det runs replay. The three hardware
- * mechanisms invalidate the same rows and store the same lines, so
- * their caches decide alike (see sim/core.h); each recording lives
- * only as long as its task.
+ * One Fig. 8 / Fig. 9 row: the live software-zeroing run, then one
+ * cache pass per core that the LISA-clone, RowClone and CODIC-det runs
+ * replay. The three hardware mechanisms invalidate the same rows and
+ * store the same lines, so their caches decide alike (see sim/core.h).
  */
-std::vector<BenchmarkComparison>
-compareCases(const std::vector<Case> &cases,
-             const DeallocEvalConfig &config)
+BenchmarkComparison
+compareCase(const std::string &name, std::span<const Workload> traces,
+            const DeallocEvalConfig &config)
 {
-    for (const Case &c : cases)
-        requireFits(c.traces, config);
+    requireFits(traces, config);
+    std::array<DeallocRunResult, 4> runs;
+    runs[0] = simulate(traces, DeallocMode::SoftwareZero, nullptr, config);
 
     // Any hardware mode records the pass all three share.
     CoreConfig recorder = config.core;
     recorder.dealloc = DeallocMode::CodicDet;
     const int64_t row_bytes = dramFor(config).row_bytes;
+    const uint64_t region = regionBytes(config, traces.size());
+    std::vector<CacheRecording> recordings;
+    recordings.reserve(traces.size());
+    for (size_t i = 0; i < traces.size(); ++i)
+        recordings.push_back(
+            recordCachePass(traces[i], recorder, row_bytes, region * i));
+    for (size_t m = 1; m < kModes.size(); ++m)
+        runs[m] = simulate(traces, kModes[m], &recordings, config);
+    return fromRuns(name, runs);
+}
 
-    std::vector<std::array<DeallocRunResult, 4>> runs(cases.size());
+/**
+ * The rows of `n` cases, one campaign task per case: `row(i)` gets
+ * case i's traces (building them, when the caller streams) and
+ * compares them. Each task writes only its own slot.
+ */
+template <class Row>
+std::vector<BenchmarkComparison>
+compareEach(size_t n, const DeallocEvalConfig &config, const Row &row)
+{
+    std::vector<BenchmarkComparison> out(n);
     CampaignEngine engine(config.run.threads);
-    engine.forEach(2 * cases.size(), [&](size_t t) {
-        const Case &c = cases[t / 2];
-        std::array<DeallocRunResult, 4> &r = runs[t / 2];
-        if (t % 2 == 0) {
-            r[0] = simulate(c.traces, DeallocMode::SoftwareZero, nullptr,
-                            config);
-            return;
-        }
-        const uint64_t region = regionBytes(config, c.traces.size());
-        std::vector<CacheRecording> recordings;
-        recordings.reserve(c.traces.size());
-        for (size_t i = 0; i < c.traces.size(); ++i)
-            recordings.push_back(recordCachePass(
-                c.traces[i], recorder, row_bytes, region * i));
-        for (size_t m = 1; m < kModes.size(); ++m)
-            r[m] = simulate(c.traces, kModes[m], &recordings, config);
-    });
-
-    std::vector<BenchmarkComparison> out;
-    out.reserve(cases.size());
-    for (size_t x = 0; x < cases.size(); ++x)
-        out.push_back(fromRuns(cases[x].name, runs[x]));
+    engine.forEach(n, [&](size_t i) { out[i] = row(i); });
     return out;
 }
 
@@ -235,34 +225,37 @@ compareSingleCore(const std::string &benchmark,
 BenchmarkComparison
 compareMultiCore(const WorkloadMix &mix, const DeallocEvalConfig &config)
 {
-    return compareCases({{mix.name, mix.traces}}, config).front();
+    return compareCase(mix.name, mix.traces, config);
 }
 
 std::vector<BenchmarkComparison>
 compareSingleCoreAll(const std::vector<std::string> &benchmarks,
                      const DeallocEvalConfig &config)
 {
-    std::vector<Workload> workloads;
-    workloads.reserve(benchmarks.size());
-    for (const auto &name : benchmarks)
-        workloads.push_back(
-            generateWorkload(benchmarkParams(name, config.run.seed)));
-    std::vector<Case> cases;
-    cases.reserve(benchmarks.size());
-    for (size_t b = 0; b < benchmarks.size(); ++b)
-        cases.push_back({benchmarks[b], {&workloads[b], 1}});
-    return compareCases(cases, config);
+    return compareEach(benchmarks.size(), config, [&](size_t b) {
+        const Workload w =
+            generateWorkload(benchmarkParams(benchmarks[b], config.run.seed));
+        return compareCase(benchmarks[b], {&w, 1}, config);
+    });
 }
 
 std::vector<BenchmarkComparison>
 compareMultiCoreAll(const std::vector<WorkloadMix> &mixes,
                     const DeallocEvalConfig &config)
 {
-    std::vector<Case> cases;
-    cases.reserve(mixes.size());
-    for (const WorkloadMix &mix : mixes)
-        cases.push_back({mix.name, mix.traces});
-    return compareCases(cases, config);
+    return compareEach(mixes.size(), config, [&](size_t x) {
+        return compareCase(mixes[x].name, mixes[x].traces, config);
+    });
+}
+
+std::vector<BenchmarkComparison>
+compareMultiCoreAll(const std::vector<MixRecipe> &recipes,
+                    const DeallocEvalConfig &config)
+{
+    return compareEach(recipes.size(), config, [&](size_t x) {
+        const WorkloadMix mix = buildMix(recipes[x]);
+        return compareCase(mix.name, mix.traces, config);
+    });
 }
 
 } // namespace codic

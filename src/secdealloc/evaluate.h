@@ -38,9 +38,8 @@ struct DeallocEvalConfig
     /**
      * Shared options. `run.seed` seeds the workload generators of
      * the compare* sweeps; `run.threads` drives the campaign engine
-     * (each comparison runs as two independent tasks, see
-     * compareSingleCoreAll(); results are identical at any thread
-     * count).
+     * (each comparison runs as one task, see compareSingleCoreAll();
+     * results are identical at any thread count).
      */
     RunOptions run = {.seed = 11};
 
@@ -101,13 +100,14 @@ BenchmarkComparison compareMultiCore(const WorkloadMix &mix,
 
 /**
  * Evaluate many single-core benchmarks (Fig. 8 sweep). Each
- * benchmark is two campaign tasks: the software-zeroing run, and one
- * recorded cache pass that the LISA-clone, RowClone and CODIC-det
- * runs replay (sim/core.h). With more than one engine thread the
- * tasks run concurrently; results are identical to the sequential
- * sweep and to runSingleCore() of each mechanism.
+ * benchmark is one campaign task: it generates its workload, runs
+ * software zeroing, then records one cache pass that the LISA-clone,
+ * RowClone and CODIC-det runs replay (sim/core.h). With more than
+ * one engine thread the benchmarks run concurrently; results are
+ * identical to the sequential sweep and to runSingleCore() of each
+ * mechanism.
  * @throws FatalError when a trace does not fit the module, checked
- *         once per benchmark before any task runs.
+ *         once per benchmark before its first run.
  */
 std::vector<BenchmarkComparison>
 compareSingleCoreAll(const std::vector<std::string> &benchmarks,
@@ -119,6 +119,16 @@ compareSingleCoreAll(const std::vector<std::string> &benchmarks,
  */
 std::vector<BenchmarkComparison>
 compareMultiCoreAll(const std::vector<WorkloadMix> &mixes,
+                    const DeallocEvalConfig &config = {});
+
+/**
+ * compareMultiCoreAll() over the mixes the recipes build. Each task
+ * builds its mix and drops it when its row is done, so at most one
+ * mix per engine thread is alive. Results equal those over
+ * buildMix() of every recipe.
+ */
+std::vector<BenchmarkComparison>
+compareMultiCoreAll(const std::vector<MixRecipe> &recipes,
                     const DeallocEvalConfig &config = {});
 
 } // namespace codic

@@ -1,7 +1,6 @@
 #include "sim/core.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.h"
 #include "mem/address_map.h"
@@ -137,12 +136,6 @@ InOrderCore::bind(const Workload *workload,
     recording_ = &recording;
     code_ = recording.outcomes.data();
     victim_ = recording.victims.data();
-}
-
-Cycle
-InOrderCore::nowCycles() const
-{
-    return static_cast<Cycle>(std::ceil(now_ns_ / dram_tck_ns_));
 }
 
 void

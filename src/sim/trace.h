@@ -25,13 +25,19 @@ enum class OpType : uint8_t
     DeallocRegion, //!< OS frees [addr, addr + count) - must be zeroed.
 };
 
-/** One trace operation. */
+/**
+ * One trace operation, packed into 16 bytes (a 4-core mix holds
+ * hundreds of thousands). `addr` is a 56-bit field: trace addresses
+ * are byte offsets below 2^56 (64 PiB), far above any module the
+ * simulator models; a larger value would wrap.
+ */
 struct TraceOp
 {
     OpType type = OpType::Compute;
-    uint64_t addr = 0;
+    uint64_t addr : 56 = 0;
     uint64_t count = 0; //!< Instructions (Compute) or bytes (Dealloc).
 };
+static_assert(sizeof(TraceOp) == 16, "TraceOp must stay 16 bytes");
 
 /** A full single-threaded trace plus identification. */
 struct Workload

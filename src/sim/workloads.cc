@@ -191,20 +191,65 @@ backgroundBenchmarks()
             "bfs"};
 }
 
-namespace {
-
 WorkloadMix
-buildMix(const std::string &name, const std::vector<std::string> &benches,
-         uint64_t seed)
+buildMix(const MixRecipe &recipe)
 {
-    CODIC_ASSERT(benches.size() == 4);
     WorkloadMix mix;
-    mix.name = name;
-    for (size_t i = 0; i < benches.size(); ++i) {
+    mix.name = recipe.name;
+    mix.traces.reserve(recipe.benchmarks.size());
+    for (size_t i = 0; i < recipe.benchmarks.size(); ++i) {
         mix.traces.push_back(generateWorkload(
-            benchmarkParams(benches[i], seed * 977 + i)));
+            benchmarkParams(recipe.benchmarks[i], recipe.seed * 977 + i)));
     }
     return mix;
+}
+
+std::vector<MixRecipe>
+representativeMixRecipes(uint64_t seed)
+{
+    // Paper Table 9.
+    return {
+        {"MIX1", {"malloc", "bootup", "tpcc64", "libquantum"}, seed + 1},
+        {"MIX2", {"shell", "bootup", "lbm", "xalancbmk"}, seed + 2},
+        {"MIX3", {"bootup", "shell", "pagerank", "pagerank"}, seed + 3},
+        {"MIX4", {"malloc", "shell", "xalancbmk", "bzip2"}, seed + 4},
+        {"MIX5", {"malloc", "malloc", "astar", "condmat"}, seed + 5},
+    };
+}
+
+std::vector<MixRecipe>
+randomMixRecipes(size_t count, uint64_t seed)
+{
+    Rng rng(seed);
+    const auto intensive = allocationIntensiveBenchmarks();
+    const auto background = backgroundBenchmarks();
+    const auto pick = [&](const std::vector<std::string> &pool) {
+        return pool[static_cast<size_t>(rng.below(pool.size()))];
+    };
+    std::vector<MixRecipe> recipes;
+    recipes.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+        // A braced list evaluates left to right, so the draws keep
+        // their order.
+        recipes.push_back({"RMIX" + std::to_string(i),
+                           {pick(intensive), pick(intensive),
+                            pick(background), pick(background)},
+                           seed + 100 + i});
+    }
+    return recipes;
+}
+
+namespace {
+
+/** Build every recipe into its own slot; traces are moved, never copied. */
+std::vector<WorkloadMix>
+buildMixes(const std::vector<MixRecipe> &recipes)
+{
+    std::vector<WorkloadMix> mixes;
+    mixes.reserve(recipes.size());
+    for (const MixRecipe &r : recipes)
+        mixes.push_back(buildMix(r));
+    return mixes;
 }
 
 } // namespace
@@ -212,42 +257,13 @@ buildMix(const std::string &name, const std::vector<std::string> &benches,
 std::vector<WorkloadMix>
 representativeMixes(uint64_t seed)
 {
-    // Paper Table 9.
-    return {
-        buildMix("MIX1", {"malloc", "bootup", "tpcc64", "libquantum"},
-                 seed + 1),
-        buildMix("MIX2", {"shell", "bootup", "lbm", "xalancbmk"},
-                 seed + 2),
-        buildMix("MIX3", {"bootup", "shell", "pagerank", "pagerank"},
-                 seed + 3),
-        buildMix("MIX4", {"malloc", "shell", "xalancbmk", "bzip2"},
-                 seed + 4),
-        buildMix("MIX5", {"malloc", "malloc", "astar", "condmat"},
-                 seed + 5),
-    };
+    return buildMixes(representativeMixRecipes(seed));
 }
 
 std::vector<WorkloadMix>
 randomMixes(size_t count, uint64_t seed)
 {
-    Rng rng(seed);
-    const auto intensive = allocationIntensiveBenchmarks();
-    const auto background = backgroundBenchmarks();
-    std::vector<WorkloadMix> mixes;
-    mixes.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-        std::vector<std::string> picks = {
-            intensive[static_cast<size_t>(rng.below(intensive.size()))],
-            intensive[static_cast<size_t>(rng.below(intensive.size()))],
-            background[static_cast<size_t>(
-                rng.below(background.size()))],
-            background[static_cast<size_t>(
-                rng.below(background.size()))],
-        };
-        mixes.push_back(
-            buildMix("RMIX" + std::to_string(i), picks, seed + 100 + i));
-    }
-    return mixes;
+    return buildMixes(randomMixRecipes(count, seed));
 }
 
 } // namespace codic

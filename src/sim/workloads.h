@@ -18,6 +18,7 @@
 #ifndef CODIC_SIM_WORKLOADS_H
 #define CODIC_SIM_WORKLOADS_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -61,6 +62,31 @@ struct WorkloadMix
     std::string name;
     std::vector<Workload> traces; //!< One per core (4 entries).
 };
+
+/**
+ * What one mix is built from: its name, one benchmark per core, and
+ * the seed of its traces. buildMix() of a recipe gives exactly the
+ * mix the batch builders below put in its slot, so a caller can build
+ * one mix at a time.
+ */
+struct MixRecipe
+{
+    std::string name;
+    std::array<std::string, 4> benchmarks;
+    uint64_t seed = 0;
+};
+
+/** Generate the four traces of a recipe. */
+WorkloadMix buildMix(const MixRecipe &recipe);
+
+/** The recipes of the five representative mixes of Table 9. */
+std::vector<MixRecipe> representativeMixRecipes(uint64_t seed);
+
+/**
+ * The recipes of N random mixes; every benchmark pick is drawn up
+ * front, in order, from one stream.
+ */
+std::vector<MixRecipe> randomMixRecipes(size_t count, uint64_t seed);
 
 /** The five representative mixes of Table 9. */
 std::vector<WorkloadMix> representativeMixes(uint64_t seed);

@@ -64,6 +64,38 @@ TEST_P(EngineThreadsTest, TaskExceptionPropagatesToCaller)
     EXPECT_EQ(n.load(), 8);
 }
 
+TEST_P(EngineThreadsTest, LowestFailingIndexIsRethrown)
+{
+    // With more than one thread, index 1 throws only after index 6
+    // has thrown (plus a grace period for its handler to record it);
+    // the caller still gets index 1's exception, as from the
+    // sequential loop.
+    CampaignEngine engine(GetParam());
+    std::atomic<bool> high_thrown{false};
+    try {
+        engine.forEach(8, [&](size_t i) {
+            if (i == 6) {
+                high_thrown = true;
+                throw std::runtime_error("index 6");
+            }
+            if (i != 1)
+                return;
+            if (engine.threads() > 1) {
+                const auto deadline = std::chrono::steady_clock::now() +
+                                      std::chrono::seconds(10);
+                while (!high_thrown &&
+                       std::chrono::steady_clock::now() < deadline)
+                    std::this_thread::yield();
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            }
+            throw std::runtime_error("index 1");
+        });
+        FAIL() << "no task exception reached the caller";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "index 1");
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, EngineThreadsTest,
                          ::testing::Values(1, 2, 8));
 

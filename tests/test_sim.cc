@@ -211,6 +211,32 @@ TEST(Core, FlushWritesBackDirtyLine)
     EXPECT_GE(h.channel.counts().wr, 1u);
 }
 
+TEST(Core, NowCyclesIsTheCeilOfTheDramCycle)
+{
+    CoreHarness h;
+    const Workload w{"idle", {}};
+    const double tck = h.channel.config().tck_ns;
+    std::vector<double> starts = {0.0, 0.3, tck / 3};
+    for (double k : {1.0, 2.0, 7.0, 1000.0, 123456789.0, 1e15}) {
+        const double multiple = k * tck;
+        starts.push_back(multiple);
+        starts.push_back(std::nextafter(multiple, 0.0));
+        starts.push_back(std::nextafter(multiple, INFINITY));
+    }
+    // Quotients above 2^53, where every double is an integer.
+    for (int e : {53, 54, 60}) {
+        const double big = std::ldexp(1.0, e) * tck;
+        starts.insert(starts.end(), {big, std::nextafter(big, 0.0),
+                                     std::nextafter(big, INFINITY)});
+    }
+    for (double start : starts) {
+        h.core.bind(&w, start);
+        EXPECT_EQ(h.core.nowCycles(),
+                  static_cast<Cycle>(std::ceil(start / tck)))
+            << start;
+    }
+}
+
 // --- Recorded cache passes. ---
 
 /**
@@ -798,6 +824,54 @@ TEST(Workloads, RepresentativeMixesMatchTable9)
         EXPECT_EQ(mix.traces.size(), 4u);
     EXPECT_EQ(mixes[0].traces[0].name, "malloc");
     EXPECT_EQ(mixes[2].traces[2].name, "pagerank");
+}
+
+void
+expectSameMix(const WorkloadMix &a, const WorkloadMix &b)
+{
+    EXPECT_EQ(a.name, b.name);
+    ASSERT_EQ(a.traces.size(), b.traces.size()) << a.name;
+    for (size_t t = 0; t < a.traces.size(); ++t) {
+        const Workload &x = a.traces[t];
+        const Workload &y = b.traces[t];
+        EXPECT_EQ(x.name, y.name) << a.name;
+        ASSERT_EQ(x.ops.size(), y.ops.size()) << a.name << " " << x.name;
+        for (size_t i = 0; i < x.ops.size(); ++i) {
+            ASSERT_EQ(x.ops[i].type, y.ops[i].type) << x.name << " " << i;
+            ASSERT_EQ(x.ops[i].addr, y.ops[i].addr) << x.name << " " << i;
+            ASSERT_EQ(x.ops[i].count, y.ops[i].count) << x.name << " " << i;
+        }
+    }
+}
+
+TEST(Workloads, MixBuiltAloneEqualsItsBatchSlot)
+{
+    // secdealloc_fig9 builds each mix from its recipe inside that
+    // mix's comparison task. The streamed comparison itself needs no
+    // slow test here: GOLDEN_eager_paper pins fig9's first
+    // representative mix and 13 random ones, in test_golden at 1 and
+    // 8 threads and in CI at 1 and 4.
+    const auto recipes = representativeMixRecipes(5);
+    const auto mixes = representativeMixes(5);
+    ASSERT_EQ(recipes.size(), mixes.size());
+    for (size_t i = 0; i < mixes.size(); ++i)
+        expectSameMix(buildMix(recipes[i]), mixes[i]);
+
+    const auto random_recipes = randomMixRecipes(9, 3);
+    const auto random = randomMixes(9, 3);
+    ASSERT_EQ(random_recipes.size(), random.size());
+    for (size_t i = 0; i < random.size(); ++i)
+        expectSameMix(buildMix(random_recipes[i]), random[i]);
+}
+
+TEST(Workloads, TraceOpPacksA56BitAddressInto16Bytes)
+{
+    EXPECT_EQ(sizeof(TraceOp), 16u);
+    const uint64_t top = (uint64_t{1} << 56) - 64;
+    const TraceOp op{OpType::DeallocRegion, top, ~uint64_t{0}};
+    EXPECT_EQ(op.type, OpType::DeallocRegion);
+    EXPECT_EQ(op.addr, top);
+    EXPECT_EQ(op.count, ~uint64_t{0});
 }
 
 TEST(Workloads, RandomMixesPairIntensiveWithBackground)
